@@ -1,28 +1,38 @@
-"""Exhaustive ground truth: enumerate every simple sentence a graph supports.
+"""Exhaustive ground truth: classify every simple sentence a graph supports.
 
 Each edge of the graph carries one clause in one of four polarities, so a
-graph with E edges supports exactly 4**E sentences.  The census classifies
-all of them and reports counts plus the lexicographically first
-unsatisfiable example, which is independently solver-checked.  Two engines
-produce identical reports: a per-sentence solver loop, and a vectorized
-sweep that marks, for every truth assignment, the polarity vectors it
-satisfies.  Both enumerate polarity vectors with the smallest edge as the
+graph with E edges supports exactly 4**E sentences.  The census counts the
+satisfiable and the unsatisfiable ones exactly and reports the
+lexicographically first unsatisfiable example, which is independently
+solver-checked.  Polarity vectors are indexed with the smallest edge as the
 most significant digit and codes ordered PP, PN, NP, NN.
+
+The count is a dynamic program over the sorted edges and never consults the
+structural theorem.  After a prefix of edges, all that matters for the rest
+is the set of truth assignments to the frontier (the vertices with both
+processed and unprocessed edges) that extend to a model of the prefix's
+clauses.  Prefixes with equal sets merge and add their counts; a prefix
+whose set is empty stays unsatisfiable whatever follows, and accounts for
+4**remaining sentences at once.
+
+A set is an int bitset over the assignments of a fixed slot layout: bit a
+stands for the assignment giving slot k the value of bit k of a.  A vertex
+takes the lowest free slot at its first edge and frees it after its last,
+and a free slot is always false.  So a vertex enters as ``S | S << 2**k``,
+a clause is one AND with a mask, and a vertex leaves as
+``(S & Z_k) | ((S & ~Z_k) >> 2**k)``, with ``Z_k`` the assignments where
+slot k is false.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from heapq import heappop, heappush
 
 from .formula import Clause, Cnf2, Literal
 from .graph import SimpleGraph, smooth_vertex
 from .sat import solve
-
-_VECTOR_ENGINE_MIN_EDGES = 5
 
 
 class TooManyEdges(ValueError):
@@ -72,98 +82,112 @@ def formula_at(edges: list[tuple[int, int]], index: int) -> Cnf2:
     return Cnf2.of(clauses)
 
 
-def _count_solver(edges: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int | None]:
-    sat = 0
-    first_unsat: int | None = None
-    for index in range(lo, hi):
-        if solve(formula_at(edges, index)).satisfiable:
-            sat += 1
-        elif first_unsat is None:
-            first_unsat = index
-    return sat, first_unsat
+def _slot_layout(edges: list[tuple[int, int]]):
+    """Per edge: the slots of u and v, the slots entering, the slots freed."""
+    last = {}
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    width = 0
+    steps = []
+    for i, (u, v) in enumerate(edges):
+        entering = []
+        for x in (u, v):
+            if x not in slot:
+                if free:
+                    slot[x] = heappop(free)
+                else:
+                    slot[x] = width
+                    width += 1
+                entering.append(slot[x])
+        leaving = [x for x in (u, v) if last[x] == i]
+        steps.append((slot[u], slot[v], entering, [slot[x] for x in leaving]))
+        for x in leaving:
+            heappush(free, slot.pop(x))
+    return steps, width
 
 
-def _count_vectorized(edges: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int | None]:
-    """Mark, per truth assignment, every polarity vector in [lo, hi) it satisfies.
+def _frontier_dp(edges: list[tuple[int, int]]) -> tuple[int, int, int | None]:
+    """Exact (sat count, unsat count, first unsatisfiable index) over all 4**E vectors."""
+    steps, width = _slot_layout(edges)
+    n_assignments = 1 << width
+    full = (1 << n_assignments) - 1
+    false_at = []
+    for k in range(width):
+        block = (1 << (1 << k)) - 1
+        false_at.append(sum(block << j for j in range(0, n_assignments, 2 << k)))
+    layer = {1: 1}  # before any edge: the empty assignment, one prefix
+    transitions = []
+    unsat = 0
+    for i, (su, sv, entering, leaving) in enumerate(steps):
+        remaining = 4 ** (len(edges) - 1 - i)
+        value_u = (false_at[su], full ^ false_at[su])
+        value_v = (false_at[sv], full ^ false_at[sv])
+        # polarity code c rules out (t_u, t_v) == (c >> 1, c & 1)
+        keeps = [full ^ (value_u[c >> 1] & value_v[c & 1]) for c in range(4)]
+        leave = [(false_at[k], full ^ false_at[k], 1 << k) for k in leaving]
+        children: dict[int, tuple[int, ...]] = {}
+        successor: dict[int, int] = {}
+        for state, count in layer.items():
+            grown = state
+            for k in entering:
+                grown |= grown << (1 << k)
+            kids = []
+            for keep in keeps:
+                kid = grown & keep
+                for false_k, true_k, shift in leave:
+                    kid = (kid & false_k) | ((kid & true_k) >> shift)
+                kids.append(kid)
+                if kid:
+                    successor[kid] = successor.get(kid, 0) + count
+                else:
+                    unsat += count * remaining
+            children[state] = tuple(kids)
+        transitions.append(children)
+        layer = successor
+    sat = sum(layer.values())
+    if not unsat:
+        return sat, unsat, None
+    return sat, unsat, _first_unsat(transitions)
 
-    For a fixed assignment each edge rules out exactly one of its four
-    polarities (the clause with both literals false), so the satisfied
-    vectors form a per-digit product set.  The union over all assignments
-    is the satisfiable region.
-    """
-    n_edges = len(edges)
-    span = hi - lo
-    indices = np.arange(lo, hi, dtype=np.int64)
-    digits = [
-        ((indices >> (2 * (n_edges - 1 - i))) & 3).astype(np.uint8)
-        for i in range(n_edges)
-    ]
-    vertices = sorted({x for e in edges for x in e})
-    satisfied = np.zeros(span, dtype=bool)
-    for bits in range(1 << len(vertices)):
-        truth = {v: bool((bits >> k) & 1) for k, v in enumerate(vertices)}
-        hits = np.ones(span, dtype=bool)
-        for i, (u, v) in enumerate(edges):
-            ruled_out = 2 * int(truth[u]) + int(truth[v])
-            hits &= digits[i] != ruled_out
-        satisfied |= hits
-        if satisfied.all():
-            break
-    sat = int(satisfied.sum())
-    if sat == span:
-        return sat, None
-    return sat, lo + int(np.argmin(satisfied))
+
+def _first_unsat(transitions: list[dict[int, tuple[int, ...]]]) -> int:
+    """The smallest index whose sentence is unsatisfiable; one must exist."""
+    doomed: list[set[int]] = [set()]  # states from which some suffix ends empty
+    for children in reversed(transitions):
+        later = doomed[-1]
+        doomed.append({s for s, kids in children.items() if any(k == 0 or k in later for k in kids)})
+    doomed.reverse()
+    state, index = 1, 0
+    for i, children in enumerate(transitions):
+        for code, kid in enumerate(children[state]):
+            if kid == 0:
+                # every suffix is unsatisfiable; the smallest is all PP
+                return (4 * index + code) * 4 ** (len(transitions) - 1 - i)
+            if kid in doomed[i + 1]:
+                state, index = kid, 4 * index + code
+                break
+    raise AssertionError("census lost its unsatisfiable prefix")
 
 
-def _census_chunk(args: tuple[list[tuple[int, int]], int, int, str]) -> tuple[int, int | None]:
-    edges, lo, hi, engine = args
-    if engine == "solver":
-        return _count_solver(edges, lo, hi)
-    return _count_vectorized(edges, lo, hi)
+def census(g: SimpleGraph, cap: int = 10, threads: int = 1) -> CensusReport:
+    """Classify all 4**E sentences supported on g, exactly.
 
-
-def census(
-    g: SimpleGraph, cap: int = 10, engine: str = "auto", threads: int = 1
-) -> CensusReport:
-    """Classify all 4**E sentences supported on g.
-
-    engine: "auto" picks the vectorized sweep for 5+ edges, the plain
-    solver loop below that; "solver" and "vector" force one engine.  With
-    threads > 1 the polarity space is split into ranges processed in
-    worker processes; counts and the reported example are identical to the
-    sequential run.
+    Raises TooManyEdges when g has more than cap edges.  threads is kept so
+    existing callers work and has no effect: the census runs in-process.
     """
     edges = g.sorted_edges()
     n_edges = len(edges)
     if n_edges > cap:
         raise TooManyEdges(cap, n_edges)
-    total = 4**n_edges
-    if engine == "auto":
-        engine = "vector" if n_edges >= _VECTOR_ENGINE_MIN_EDGES else "solver"
-    if engine not in ("solver", "vector"):
-        raise ValueError(f"unknown census engine {engine!r}")
-
-    if threads > 1 and total >= threads:
-        bounds = [(total * k) // threads for k in range(threads + 1)]
-        jobs = [
-            (edges, bounds[k], bounds[k + 1], engine)
-            for k in range(threads)
-            if bounds[k] < bounds[k + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_census_chunk, jobs))
-        sat = sum(p[0] for p in parts)
-        unsat_indices = [p[1] for p in parts if p[1] is not None]
-        first_unsat = min(unsat_indices) if unsat_indices else None
-    else:
-        sat, first_unsat = _census_chunk((edges, 0, total, engine))
-
+    sat, unsat, first_unsat = _frontier_dp(edges)
     example: Cnf2 | None = None
     if first_unsat is not None:
         example = formula_at(edges, first_unsat)
         if solve(example).satisfiable:
             raise AssertionError("census found an example the solver calls satisfiable")
-    return CensusReport(g, total, sat, total - sat, example)
+    return CensusReport(g, 4**n_edges, sat, unsat, example)
 
 
 def supports_unsat_bruteforce(g: SimpleGraph, cap: int = 10) -> bool:

@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="exhaustively classify all sentences a graph supports")
     p.add_argument("input", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--cap", type=int, default=10, help="edge-count cap (default 10)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; no effect, the census runs in-process")
     p.add_argument("--record", action="store_true", help="single-line machine-readable record")
 
     p = sub.add_parser("minor", help="search for one forbidden pattern in a host graph")
@@ -227,7 +228,7 @@ def _graph_hash(g: SimpleGraph) -> str:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
-    report = census(graph, cap=args.cap, threads=max(1, args.threads))
+    report = census(graph, cap=args.cap)
     if args.record:
         print(f"{_graph_hash(graph)} {report.total} {report.sat_count} {report.unsat_count}")
     else:

@@ -1,4 +1,4 @@
-"""Shared test corpora: exhaustive small graphs, trees, and random sentences.
+"""Shared test corpora (exhaustive small graphs, trees, random sentences) and oracles.
 
 The CI subsample is fixed: every connected labelled graph on at most five
 vertices plus a seed-20260809 sample of 300 six-vertex graphs.  Set
@@ -12,7 +12,8 @@ import itertools
 import os
 import random
 
-from satminors import Cnf2, SimpleGraph, apply_assignment, reduce
+from satminors import CensusReport, Cnf2, SimpleGraph, apply_assignment, reduce, solve
+from satminors.census import formula_at
 
 CORPUS_SEED = 20260809
 FULL_CORPUS = os.environ.get("SATMINORS_FULL", "") not in ("", "0")
@@ -128,3 +129,23 @@ def brute_force_satisfiable(s: Cnf2) -> bool:
         if apply_assignment(s, asg).is_true:
             return True
     return False
+
+
+def _count_solver(edges: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int | None]:
+    sat = 0
+    first_unsat: int | None = None
+    for index in range(lo, hi):
+        if solve(formula_at(edges, index)).satisfiable:
+            sat += 1
+        elif first_unsat is None:
+            first_unsat = index
+    return sat, first_unsat
+
+
+def census_by_solver(g: SimpleGraph) -> CensusReport:
+    """Reference census: solve each of the 4**E sentences on g one by one."""
+    edges = g.sorted_edges()
+    total = 4 ** len(edges)
+    sat, first_unsat = _count_solver(edges, 0, total)
+    example = None if first_unsat is None else formula_at(edges, first_unsat)
+    return CensusReport(g, total, sat, total - sat, example)

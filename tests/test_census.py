@@ -1,6 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
 
-from corpus_util import tree_corpus
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus_util import acceptance_corpus, census_by_solver, tree_corpus
 from satminors import (
     Clause,
     CensusReport,
@@ -13,6 +19,42 @@ from satminors import (
     supports_unsat_bruteforce,
 )
 from satminors.census import TooManyEdges, formula_at
+from satminors.fixtures import CONFIG_CODES
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+NAMED_FIXTURES = (
+    ["c3", "k4", "k4-e", "butterfly", "bowtie", "book", "square-butterfly"]
+    + [f"cn:{k}" for k in range(3, 7)]
+    + [f"hills:{n}" for n in range(1, 3)]
+    + [f"config:{code}" for code in CONFIG_CODES]
+)
+
+# (sat_count, first unsatisfiable index) from the numpy sweep this census replaced
+PINNED_SWEEP_RESULTS = {
+    "config:eee1": (4048, 181),
+    "config:eee2": (16192, 2223),
+    "config:ppe1": (260224, 9131),
+    "config:ppe2": (259968, 2283),
+    "config:ppp1": (4154880, 10987),
+    "config:ppp2": (4157952, 142059),
+    "config:ppv1": (1034496, 35563),
+    "config:ppv2": (1032960, 747),
+    "config:pve": (64576, 2283),
+    "config:pvv": (257152, 683),
+    "config:vee": (16192, 667),
+    "config:vve1": (62752, 2203),
+    "config:vve2": (64448, 655),
+    "config:vvv1": (253056, 2109),
+    "config:vvv2": (256384, 655),
+    "hills:4": (16245248, 683),
+    "cn:12": (16777216, None),
+}
+
+graph_edges = st.lists(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda e: e[0] != e[1]),
+    max_size=14,
+)
 
 
 class TestEdgePolarity:
@@ -54,21 +96,46 @@ class TestCensus:
         assert report.unsat_count >= 1
         assert not solve(report.example_unsat).satisfiable
 
-    def test_engines_and_threads_agree(self):
-        for name in ["butterfly", "bowtie", "c3", "square-butterfly"]:
+    def test_matches_solver_oracle(self):
+        small = [g for g in acceptance_corpus() if len(g.edges) <= 4]
+        named = [fixture_graph(n) for n in NAMED_FIXTURES]
+        graphs = small + [g for g in named if len(g.edges) <= 6]
+        assert len(small) >= 100
+        for g in graphs:
+            got, want = census(g), census_by_solver(g)
+            assert (got.sat_count, got.unsat_count, got.example_unsat) == (
+                want.sat_count,
+                want.unsat_count,
+                want.example_unsat,
+            ), g
+
+    def test_matches_pinned_sweep_results(self):
+        for name, (sat, first) in PINNED_SWEEP_RESULTS.items():
             g = fixture_graph(name)
-            results = [
-                census(g, engine="solver"),
-                census(g, engine="vector"),
-                census(g, engine="vector", threads=3),
-            ]
-            head = results[0]
-            for other in results[1:]:
-                assert (other.sat_count, other.unsat_count) == (
-                    head.sat_count,
-                    head.unsat_count,
-                )
-                assert other.example_unsat == head.example_unsat
+            report = census(g, cap=12)
+            assert report.sat_count == sat, name
+            expected = None if first is None else formula_at(g.sorted_edges(), first)
+            assert report.example_unsat == expected, name
+
+    @settings(deadline=None, max_examples=30)
+    @given(graph_edges, st.permutations(range(1, 8)))
+    def test_relabelling_keeps_sat_count(self, edges, perm):
+        g = SimpleGraph.of(edges)
+        relabelled = SimpleGraph.of([(perm[u - 1], perm[v - 1]) for u, v in edges])
+        assert census(relabelled, cap=21).sat_count == census(g, cap=21).sat_count
+
+    def test_runs_in_process_without_numpy(self):
+        script = (
+            "import multiprocessing, sys\n"
+            "import satminors\n"
+            "satminors.census(satminors.fixture_graph('butterfly'), threads=4)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert multiprocessing.active_children() == []\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_example_is_lexicographically_first(self):
         g = fixture_graph("butterfly")
