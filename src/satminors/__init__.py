@@ -8,7 +8,6 @@ from .formula import (
     Literal,
     SubstitutionStep,
     apply_assignment,
-    clause_support,
     cnf_to_dimacs,
     is_reduced,
     parse_dimacs,

@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .formula import Clause, Cnf2, Literal
+from .formula import Clause, Cnf2
 from .graph import SimpleGraph, smooth_vertex
 from .sat import solve
 
@@ -53,9 +53,9 @@ class EdgePolarity(enum.Enum):
     def clause(self, u: int, v: int) -> Clause:
         if u > v:
             u, v = v, u
-        pos_u = self in (EdgePolarity.PP, EdgePolarity.PN)
-        pos_v = self in (EdgePolarity.PP, EdgePolarity.NP)
-        return Clause((Literal(u, pos_u), Literal(v, pos_v)))
+        lit_u = -u if self in (EdgePolarity.NP, EdgePolarity.NN) else u
+        lit_v = -v if self in (EdgePolarity.PN, EdgePolarity.NN) else v
+        return Clause.of(lit_u, lit_v)
 
 
 @dataclass(frozen=True)

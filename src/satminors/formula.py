@@ -6,12 +6,18 @@ and clauses containing a variable together with its negation are dropped
 as tautologies.  The three possible shapes are the constant-true sentence,
 the constant-false sentence, and a nonempty canonical clause set.  All
 values are immutable; every operation returns a new value.
+
+A clause is its tuple of signed DIMACS ints (3 for a variable, -3 for its
+negation), and every operation here works on those ints.  Literal is a
+public value type built only on demand: by Clause.literals, and as the
+replacement of a substitution step.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 # Partial truth assignment, variable index -> value.
@@ -71,11 +77,6 @@ class Literal:
     def to_int(self) -> int:
         return self.var if self.positive else -self.var
 
-    @property
-    def key(self) -> tuple[int, int]:
-        # canonical order: by variable, positive before negative
-        return (self.var, 0 if self.positive else 1)
-
     def __repr__(self) -> str:
         return str(self.to_int())
 
@@ -84,51 +85,63 @@ RawLiteral = Union[Literal, Const, int]
 RawClause = Sequence[RawLiteral]
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(tuple):
     """A disjunction of one or two literals over distinct variables.
 
-    Literals are kept sorted by (variable, sign); duplicate or
-    complementary literals are rejected because reduction removes them
-    before a Clause is ever formed.
+    The clause is its tuple of signed DIMACS ints, sorted by variable, so
+    equality and hashing come from the ints.  Literal or int arguments are
+    accepted; duplicate or complementary literals are rejected because
+    reduction removes them before a Clause is ever formed.
     """
 
-    literals: tuple[Literal, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lits = tuple(sorted(self.literals, key=lambda l: l.key))
+    def __new__(cls, literals: Iterable[Union[Literal, int]]) -> Clause:
+        lits = tuple(_literal_int(x) for x in literals)
         if not 1 <= len(lits) <= 2:
             raise ValueError(f"clause must have 1 or 2 literals, got {len(lits)}")
-        if len(lits) == 2 and lits[0].var == lits[1].var:
-            if lits[0].positive == lits[1].positive:
+        if len(lits) == 2 and abs(lits[0]) == abs(lits[1]):
+            if lits[0] == lits[1]:
                 raise ValueError("duplicate literal; reduce the clause first")
             raise ValueError("complementary literals form a tautology, not a clause")
-        object.__setattr__(self, "literals", lits)
+        return _clause(lits)
 
     @classmethod
-    def of(cls, *ints: int) -> Clause:
-        return cls(tuple(Literal.from_int(n) for n in ints))
+    def of(cls, *literals: Union[Literal, int]) -> Clause:
+        return cls(literals)
+
+    @property
+    def literals(self) -> tuple[Literal, ...]:
+        return tuple(Literal.from_int(x) for x in self)
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(l.var for l in self.literals)
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.literals) == 1
-
-    def literal_for(self, var: int) -> Literal:
-        for l in self.literals:
-            if l.var == var:
-                return l
-        raise KeyError(var)
-
-    @property
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(l.key for l in self.literals)
+        return frozenset(map(abs, self))
 
     def __repr__(self) -> str:
-        return "(" + " ".join(repr(l) for l in self.literals) + ")"
+        return "(" + " ".join(map(str, self)) + ")"
+
+
+def _clause(lits: Sequence[int]) -> Clause:
+    """A Clause from one or two nonzero ints over distinct variables, unchecked."""
+    if len(lits) == 2 and abs(lits[0]) > abs(lits[1]):
+        lits = (lits[1], lits[0])
+    return tuple.__new__(Clause, lits)
+
+
+def _canonical_order(c: Clause) -> list[int]:
+    # by variable, positive before negative
+    return [2 * x if x > 0 else 1 - 2 * x for x in c]
+
+
+def _literal_int(x: Union[Literal, int]) -> int:
+    if isinstance(x, Literal):
+        return x.to_int()
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"not a raw literal: {x!r}")
+    if x == 0:
+        raise ValueError("0 does not encode a literal")
+    return x
 
 
 class CnfKind(enum.Enum):
@@ -153,7 +166,9 @@ class Cnf2:
         if self.kind is CnfKind.NONTRIVIAL:
             if not self.clauses:
                 raise ValueError("nontrivial sentence needs at least one clause")
-            ordered = tuple(sorted(set(self.clauses), key=lambda c: c.key))
+            if not all(isinstance(c, Clause) for c in self.clauses):
+                raise TypeError("a sentence holds Clause values only")
+            ordered = tuple(sorted(set(self.clauses), key=_canonical_order))
             object.__setattr__(self, "clauses", ordered)
         elif self.clauses:
             raise ValueError(f"{self.kind.value} sentence carries no clauses")
@@ -176,7 +191,7 @@ class Cnf2:
     @classmethod
     def from_ints(cls, clause_lists: Iterable[Iterable[int]]) -> Cnf2:
         """Build and reduce a sentence from DIMACS-style integer clauses."""
-        return reduce(list(map(list, clause_lists)))
+        return reduce(clause_lists)
 
     @property
     def is_true(self) -> bool:
@@ -191,10 +206,7 @@ class Cnf2:
         return self.kind is CnfKind.NONTRIVIAL
 
     def variables(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.clauses:
-            out.update(c.support)
-        return frozenset(out)
+        return frozenset(map(abs, chain.from_iterable(self.clauses)))
 
     def __repr__(self) -> str:
         if self.is_true:
@@ -225,12 +237,15 @@ class SubstitutionStep:
         return f"{self.target}:={self.replacement!r}"
 
 
-def _coerce(x: RawLiteral) -> Union[Literal, Const]:
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Literal.from_int(x)
-    if isinstance(x, (Literal, Const)):
-        return x
-    raise TypeError(f"not a raw literal: {x!r}")
+def _pair_clauses(s: Cnf2, a: int, b: int) -> list[Clause]:
+    """The clauses over exactly the variables a and b."""
+    lo, hi = min(a, b), max(a, b)
+    # a clause's ints are sorted by variable, and a unit has one variable
+    return [c for c in s.clauses if abs(c[0]) == lo and abs(c[-1]) == hi]
+
+
+def _coerce(x: RawLiteral) -> Union[int, Const]:
+    return x if isinstance(x, Const) else _literal_int(x)
 
 
 def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
@@ -244,7 +259,7 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
     kept: list[Clause] = []
     false_seen = False
     for raw in raw_clauses:
-        lits: list[Literal] = []
+        lits: list[int] = []
         always_true = False
         for x in raw:
             y = _coerce(x)
@@ -252,11 +267,10 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
                 always_true = True
             elif y is BOTTOM:
                 continue
-            elif isinstance(y, Literal):
-                if y.negate() in lits:
-                    always_true = True
-                elif y not in lits:
-                    lits.append(y)
+            elif -y in lits:
+                always_true = True
+            elif y not in lits:
+                lits.append(y)
         if always_true:
             continue
         if not lits:
@@ -264,9 +278,45 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
             continue
         if len(lits) > 2:
             raise ClauseTooLong(f"{len(lits)} distinct literals in one clause")
-        kept.append(Clause(tuple(lits)))
+        kept.append(_clause(lits))
     if false_seen:
         return Cnf2.false()
+    return Cnf2.of(kept)
+
+
+def _rewrite(s: Cnf2, image: Mapping[int, Union[int, Const]]) -> Cnf2:
+    """Map each variable in image to a literal or a constant, then reduce.
+
+    image gives the value of the variable's positive literal; its negative
+    literal takes the negation.  Clauses that mention no mapped variable
+    are kept as they are.
+    """
+    if not s.is_nontrivial:
+        return s
+    kept: list[Clause] = []
+    for clause in s.clauses:
+        if abs(clause[0]) not in image and abs(clause[-1]) not in image:
+            kept.append(clause)
+            continue
+        lits: list[int] = []
+        satisfied = False
+        for x in clause:
+            y = image.get(abs(x))
+            if y is None:
+                lits.append(x)
+            elif isinstance(y, Const):
+                satisfied = satisfied or (y is TOP) == (x > 0)
+            else:
+                lits.append(y if x > 0 else -y)
+        if satisfied:
+            continue
+        if not lits:
+            return Cnf2.false()
+        if len(lits) == 2 and abs(lits[0]) == abs(lits[1]):
+            if lits[0] != lits[1]:
+                continue  # complementary literals: a tautology
+            del lits[1]
+        kept.append(_clause(lits))
     return Cnf2.of(kept)
 
 
@@ -277,43 +327,15 @@ def substitute(s: Cnf2, step: SubstitutionStep) -> Cnf2:
     occurrences of the target to that literal and negated occurrences to
     its negation.  True and false sentences are fixed points.
     """
-    if not s.is_nontrivial:
-        return s
-    raw: list[list[RawLiteral]] = []
-    for clause in s.clauses:
-        row: list[RawLiteral] = []
-        for lit in clause.literals:
-            if lit.var != step.target:
-                row.append(lit)
-            elif isinstance(step.replacement, Literal):
-                row.append(step.replacement if lit.positive else step.replacement.negate())
-            else:
-                value = step.replacement if lit.positive else not step.replacement
-                row.append(TOP if value else BOTTOM)
-        raw.append(row)
-    return reduce(raw)
+    r = step.replacement
+    if isinstance(r, Literal):
+        return _rewrite(s, {step.target: r.to_int()})
+    return _rewrite(s, {step.target: TOP if r else BOTTOM})
 
 
 def apply_assignment(s: Cnf2, asg: Mapping[int, bool]) -> Cnf2:
     """Set every bound variable at once; equals folding substitute in any order."""
-    if not s.is_nontrivial:
-        return s
-    raw: list[list[RawLiteral]] = []
-    for clause in s.clauses:
-        row: list[RawLiteral] = []
-        for lit in clause.literals:
-            if lit.var in asg:
-                value = asg[lit.var] if lit.positive else not asg[lit.var]
-                row.append(TOP if value else BOTTOM)
-            else:
-                row.append(lit)
-        raw.append(row)
-    return reduce(raw)
-
-
-def clause_support(c: Clause) -> frozenset[int]:
-    """The set of distinct variables the clause mentions."""
-    return c.support
+    return _rewrite(s, {v: TOP if value else BOTTOM for v, value in asg.items()})
 
 
 def is_reduced(s: Union[Cnf2, Iterable[RawClause]]) -> bool:
@@ -325,14 +347,14 @@ def is_reduced(s: Union[Cnf2, Iterable[RawClause]]) -> bool:
     """
     if isinstance(s, Cnf2):
         return True
-    seen: set[frozenset[Literal]] = set()
+    seen: set[frozenset[int]] = set()
     for raw in s:
-        lits: set[Literal] = set()
+        lits: set[int] = set()
         for x in raw:
             y = _coerce(x)
             if isinstance(y, Const):
                 return False
-            if y in lits or y.negate() in lits:
+            if y in lits or -y in lits:
                 return False
             lits.add(y)
         if not lits:
@@ -352,12 +374,9 @@ def rename_variables(s: Cnf2, mapping: Mapping[int, int]) -> Cnf2:
     image = {mapping.get(v, v) for v in old}
     if len(image) != len(old):
         raise ValueError("variable renaming is not injective on this sentence")
-    out = []
-    for clause in s.clauses:
-        out.append(
-            Clause(tuple(Literal(mapping.get(l.var, l.var), l.positive) for l in clause.literals))
-        )
-    return Cnf2.of(out)
+    if min(image) < 1:
+        raise ValueError(f"variable index must be >= 1, got {min(image)}")
+    return _rewrite(s, mapping)
 
 
 def parse_dimacs(text: Union[str, bytes]) -> Cnf2:
@@ -434,5 +453,5 @@ def cnf_to_dimacs(s: Cnf2, comments: Sequence[str] = ()) -> str:
         nvars = max(s.variables())
         lines.append(f"p cnf {nvars} {len(s.clauses)}")
         for clause in s.clauses:
-            lines.append(" ".join(str(l.to_int()) for l in clause.literals) + " 0")
+            lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"

@@ -127,10 +127,9 @@ def associated_multigraph(s: Cnf2) -> Multigraph:
         raise NotNontrivial("constant sentences have no support graph")
     edges = []
     for clause in s.clauses:
-        support = sorted(clause.support)
-        if len(support) == 1:
+        if len(clause) == 1:
             raise UnitClausePresent(f"unit clause {clause!r} has no edge support")
-        edges.append((support[0], support[1]))
+        edges.append((abs(clause[0]), abs(clause[1])))
     return Multigraph(frozenset(s.variables()), tuple(edges))
 
 
@@ -172,10 +171,6 @@ def connected_components(g: SimpleGraph) -> list[SimpleGraph]:
 def cycle_rank(g: SimpleGraph) -> int:
     """Dimension of the cycle space: |E| - |V| + number of components."""
     return len(g.edges) - len(g.vertices) + len(connected_components(g))
-
-
-def component_cycle_ranks(g: SimpleGraph) -> list[int]:
-    return [cycle_rank(c) for c in connected_components(g)]
 
 
 def two_core(g: SimpleGraph) -> SimpleGraph:

@@ -202,22 +202,26 @@ def _route_paths(
 
 
 def _simple_paths(host: SimpleGraph, start: int, goal: int, blocked: set[int]):
-    """Yield simple start-goal paths avoiding blocked vertices, in DFS order."""
+    """Yield simple start-goal paths avoiding blocked vertices, in DFS order.
+
+    Iterative, with one neighbour iterator per path vertex, so a path may
+    be as long as the host.
+    """
     path = [start]
     on_path = {start}
-
-    def walk(v: int):
-        for w in host.neighbors(v):
+    pending = [iter(host.neighbors(start))]
+    while pending:
+        for w in pending[-1]:
             if w == goal:
                 yield path + [goal]
             elif w not in blocked and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                yield from walk(w)
-                path.pop()
-                on_path.remove(w)
-
-    yield from walk(start)
+                pending.append(iter(host.neighbors(w)))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
 
 
 def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> bool:

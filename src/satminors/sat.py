@@ -32,34 +32,30 @@ def solve(s: Cnf2) -> SolveResult:
         return SolveResult(False, conflict_var=None)
 
     variables = sorted(s.variables())
-    index_of = {v: i for i, v in enumerate(variables)}
-    n = 2 * len(variables)
     # literal node: 2*i for the positive literal of variables[i], 2*i+1 negated
-    adj: list[list[int]] = [[] for _ in range(n)]
-
-    def node(var: int, positive: bool) -> int:
-        return 2 * index_of[var] + (0 if positive else 1)
-
+    node: dict[int, int] = {}
+    for i, v in enumerate(variables):
+        node[v] = 2 * i
+        node[-v] = 2 * i + 1
+    adj: list[list[int]] = [[] for _ in range(2 * len(variables))]
     for clause in s.clauses:
-        lits = clause.literals
-        if len(lits) == 1:
-            (a,) = lits
-            adj[node(a.var, not a.positive)].append(node(a.var, a.positive))
-        else:
-            a, b = lits
-            adj[node(a.var, not a.positive)].append(node(b.var, b.positive))
-            adj[node(b.var, not b.positive)].append(node(a.var, a.positive))
+        a = clause[0]
+        b = clause[-1]
+        # (a or b) is (not a -> b) and (not b -> a); a unit has a == b
+        adj[node[-a]].append(node[b])
+        if a != b:
+            adj[node[-b]].append(node[a])
     for row in adj:
         row.sort()
 
     comp = _tarjan_components(adj)
 
-    conflicts = [v for v in variables if comp[node(v, True)] == comp[node(v, False)]]
+    conflicts = [v for i, v in enumerate(variables) if comp[2 * i] == comp[2 * i + 1]]
     if conflicts:
         return SolveResult(False, conflict_var=conflicts[0])
     # components are numbered in pop order (reverse topological order), so a
     # literal is true when its component closes before its negation's
-    model = {v: comp[node(v, True)] < comp[node(v, False)] for v in variables}
+    model = {v: comp[2 * i] < comp[2 * i + 1] for i, v in enumerate(variables)}
     return SolveResult(True, model=model)
 
 

@@ -20,6 +20,7 @@ from .formula import (
     Cnf2,
     Literal,
     SubstitutionStep,
+    _pair_clauses,
     apply_assignment,
     substitute,
 )
@@ -56,10 +57,7 @@ def count_pair_clauses(s: Cnf2, a: int, b: int) -> int:
     """Number of clauses over exactly the variables a and b (0 to 4)."""
     if a == b:
         raise ValueError("pair requires two distinct variables")
-    if not s.is_nontrivial:
-        return 0
-    pair = frozenset((a, b))
-    return sum(1 for c in s.clauses if c.support == pair)
+    return len(_pair_clauses(s, a, b))
 
 
 def eliminate_units(s: Cnf2) -> tuple[Cnf2, Trace]:
@@ -71,72 +69,51 @@ def eliminate_units(s: Cnf2) -> tuple[Cnf2, Trace]:
     trace: list[SubstitutionStep] = []
     current = s
     while current.is_nontrivial:
-        units = [c.literals[0] for c in current.clauses if c.is_unit]
+        units = [c[0] for c in current.clauses if len(c) == 1]
         if not units:
             break
-        lit = min(units, key=lambda l: l.key)
-        step = SubstitutionStep(lit.var, lit.positive)
+        # smallest variable first, its positive unit before its negative one
+        lit = min(units, key=lambda x: (abs(x), x < 0))
+        step = SubstitutionStep(abs(lit), lit > 0)
         trace.append(step)
         current = substitute(current, step)
     return current, tuple(trace)
 
 
-# For a pair (a, b) with a < b, a clause's polarity is the pair of signs
-# (a positive?, b positive?).  A clause (pa, pb) rules out exactly the
-# assignment (not pa, not pb), so three clauses leave one assignment
-# alive: the one only the missing fourth clause would rule out.
-_TRIPLE_BINDINGS: dict[frozenset[tuple[bool, bool]], tuple[bool, bool]] = {
-    frozenset({(True, True), (True, False), (False, True)}): (True, True),
-    frozenset({(True, True), (True, False), (False, False)}): (True, False),
-    frozenset({(True, True), (False, True), (False, False)}): (False, True),
-    frozenset({(True, False), (False, True), (False, False)}): (False, False),
-}
-
-# Two clauses either force one variable or tie the two together.
-_DOUBLE_ACTIONS: dict[frozenset[tuple[bool, bool]], tuple[str, object]] = {
-    frozenset({(True, True), (True, False)}): ("bind_a", True),
-    frozenset({(False, True), (False, False)}): ("bind_a", False),
-    frozenset({(True, True), (False, True)}): ("bind_b", True),
-    frozenset({(True, False), (False, False)}): ("bind_b", False),
-    frozenset({(True, True), (False, False)}): ("tie", False),
-    frozenset({(True, False), (False, True)}): ("tie", True),
-}
-
-
 def collapse_pair(s: Cnf2, a: int, b: int) -> tuple[Cnf2, Trace]:
     """Remove a variable pair mentioned by two or more clauses.
 
-    Four clauses over the pair are jointly contradictory; three force both
-    variables; two either force one variable or make one variable a literal
-    of the other.  The recorded steps replay to the returned sentence.
+    Each clause over the pair rules out one assignment of (a, b).  Four
+    clauses leave none and are jointly contradictory; three leave one,
+    which binds both variables; two leave two, which either agree on one
+    variable and bind it, or make b a literal of a.  The recorded steps
+    replay to the returned sentence.
     """
     if a > b:
         a, b = b, a
     mult = count_pair_clauses(s, a, b)
     if mult < 2:
         raise PreconditionViolated(f"pair ({a}, {b}) has multiplicity {mult} < 2")
-    pair = frozenset((a, b))
-    polarities = frozenset(
-        (c.literal_for(a).positive, c.literal_for(b).positive)
-        for c in s.clauses
-        if c.support == pair
-    )
+    # with a < b, a clause's first int is a's literal: (x or y) rules out
+    # the assignment making both false
+    ruled_out = {(c[0] < 0, c[1] < 0) for c in _pair_clauses(s, a, b)}
+    alive = [(ta, tb) for ta in (True, False) for tb in (True, False) if (ta, tb) not in ruled_out]
     steps: list[SubstitutionStep]
-    if mult == 4:
+    if not alive:
         # substituting both in sequence grinds the four clauses down to falsity
         steps = [SubstitutionStep(a, True), SubstitutionStep(b, True)]
-    elif mult == 3:
-        va, vb = _TRIPLE_BINDINGS[polarities]
-        steps = [SubstitutionStep(a, va), SubstitutionStep(b, vb)]
+    elif len(alive) == 1:
+        ((ta, tb),) = alive
+        steps = [SubstitutionStep(a, ta), SubstitutionStep(b, tb)]
     else:
-        action, arg = _DOUBLE_ACTIONS[polarities]
-        if action == "bind_a":
-            steps = [SubstitutionStep(a, arg)]
-        elif action == "bind_b":
-            steps = [SubstitutionStep(b, arg)]
+        (ta, tb), (ua, ub) = alive
+        if ta == ua:
+            steps = [SubstitutionStep(a, ta)]
+        elif tb == ub:
+            steps = [SubstitutionStep(b, tb)]
         else:
-            # opposite-polarity pair: b must mirror (or copy) a
-            steps = [SubstitutionStep(b, Literal(a, bool(arg)))]
+            # the two assignments disagree on both: b must copy (or mirror) a
+            steps = [SubstitutionStep(b, Literal(a, ta == tb))]
     current = s
     for step in steps:
         current = substitute(current, step)
@@ -144,11 +121,11 @@ def collapse_pair(s: Cnf2, a: int, b: int) -> tuple[Cnf2, Trace]:
 
 
 def _smallest_heavy_pair(s: Cnf2) -> tuple[int, int] | None:
-    counts: Counter[frozenset[int]] = Counter(
-        c.support for c in s.clauses if len(c.support) == 2
+    counts: Counter[tuple[int, int]] = Counter(
+        (abs(c[0]), abs(c[1])) for c in s.clauses if len(c) == 2
     )
-    heavy = [tuple(sorted(p)) for p, n in counts.items() if n >= 2]
-    return min(heavy) if heavy else None  # type: ignore[return-value]
+    heavy = [p for p, n in counts.items() if n >= 2]
+    return min(heavy) if heavy else None
 
 
 def to_simple(s: Cnf2) -> SimplifyOutcome:

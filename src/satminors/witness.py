@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Clause, Cnf2, Literal, cnf_to_dimacs, rename_variables
+from .formula import Clause, Cnf2, _pair_clauses, cnf_to_dimacs, rename_variables
 from .graph import (
     Edge,
     EdgeInTriangle,
@@ -70,11 +70,6 @@ def base_formula(p: Pattern) -> BaseFormula:
     return BaseFormula(p, Cnf2.from_ints(_BASE_CLAUSES[p]))
 
 
-def _pair_clauses(s: Cnf2, u: int, v: int) -> list[Clause]:
-    pair = frozenset((u, v))
-    return [c for c in s.clauses if c.support == pair]
-
-
 def lift_subdivision(s: Cnf2, e: Edge, w: int) -> Cnf2:
     """Transport a sentence across subdivision of one support edge.
 
@@ -92,11 +87,10 @@ def lift_subdivision(s: Cnf2, e: Edge, w: int) -> Cnf2:
     if len(matches) > 1:
         raise ValueError(f"sentence is not simple at ({u}, {v})")
     (old,) = matches
-    lit_u = old.literal_for(u)
-    lit_v = old.literal_for(v)
+    lit_u, lit_v = old  # u < v, and a clause's ints are sorted by variable
     rest = [c for c in s.clauses if c is not old]
-    rest.append(Clause((lit_u, Literal(w, True))))
-    rest.append(Clause((Literal(w, False), lit_v)))
+    rest.append(Clause.of(lit_u, w))
+    rest.append(Clause.of(-w, lit_v))
     return Cnf2.of(rest)
 
 
@@ -114,12 +108,8 @@ def unsubdivide_witness(s: Cnf2, w: int, u: int, v: int) -> Cnf2:
         frozenset({v}),
     }:
         raise DegreeNotTwo(f"variable {w} is not joined to exactly {{{u}, {v}}}")
-    u_clause = next(c for c in w_clauses if u in c.support)
-    v_clause = next(c for c in w_clauses if v in c.support)
-    lit_u = u_clause.literal_for(u)
-    lit_v = v_clause.literal_for(v)
     rest = [c for c in s.clauses if w not in c.support]
-    rest.append(Clause((lit_u, lit_v)))
+    rest.append(Clause.of(*(x for c in w_clauses for x in c if abs(x) != w)))
     return Cnf2.of(rest)
 
 
@@ -146,7 +136,7 @@ def extend_to_supergraph(s: Cnf2, h: SimpleGraph) -> Cnf2:
             f"isolated vertices {sorted(uncovered_vertices)} cannot support any clause"
         )
     for x, y in sorted(h.edges - covered):
-        clauses.append(Clause((Literal(x, True), Literal(y, True))))
+        clauses.append(Clause.of(x, y))
     return Cnf2.of(clauses)
 
 
@@ -171,59 +161,63 @@ def contract_witness(s: Cnf2, e: Edge, w: int) -> Cnf2:
     if w in s.variables():
         raise VariableCollision(f"variable {w} already occurs")
     (uv_clause,) = _pair_clauses(s, u, v)
-    lit_u = uv_clause.literal_for(u)
-    lit_v = uv_clause.literal_for(v)
-    with_w_pos: list[Literal] = []
-    with_w_neg: list[Literal] = []
-    untouched: list[Clause] = []
+    lit_u, lit_v = uv_clause
+    out: list[Clause] = []
     for c in s.clauses:
         if c is uv_clause:
             continue
-        touches_u = u in c.support
-        touches_v = v in c.support
-        if not touches_u and not touches_v:
-            untouched.append(c)
-            continue
-        anchor = c.literal_for(u) if touches_u else c.literal_for(v)
-        (other,) = [l for l in c.literals if l.var not in (u, v)]
-        if touches_u:
-            # same sign as the (u, v)-clause pairs with w, opposite with not-w
-            (with_w_pos if anchor == lit_u else with_w_neg).append(other)
+        if abs(c[0]) in (u, v):
+            anchor, other = c
+        elif abs(c[1]) in (u, v):
+            other, anchor = c
         else:
-            (with_w_neg if anchor == lit_v else with_w_pos).append(other)
-    out = list(untouched)
-    for x in with_w_pos:
-        out.append(Clause((x, Literal(w, True))))
-    for y in with_w_neg:
-        out.append(Clause((y, Literal(w, False))))
+            out.append(c)
+            continue
+        # u's literal of the (u, v)-clause pairs with w, its negation with
+        # not-w; for v it is the other way round
+        with_w = anchor == lit_u if abs(anchor) == u else anchor != lit_v
+        out.append(Clause.of(other, w if with_w else -w))
     return Cnf2.of(out)
 
 
 def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     """Build a solver-verified unsatisfiable sentence supported exactly on g.
 
-    Returns None when no such sentence exists.  Otherwise starts from the
-    base sentence of the embedded pattern, renames its variables to the
-    branch vertices, subdivides along each embedding path (fresh variables
-    named by the path's interior vertices, walking from the lower-numbered
-    endpoint), and fills the remaining edges of g with positive clauses.
+    Returns None when no such sentence exists.  Otherwise maps each clause
+    of the embedded pattern's base sentence onto its embedding path, with
+    the branch vertices as its variables, as a chain of clauses through the
+    path's interior vertices.  The chain is the one lift_subdivision gives
+    when it subdivides the path's edge vertex by vertex, walking from the
+    lower-numbered endpoint.  The remaining edges of g are filled with
+    positive clauses.
     """
     verdict = decide_support(g, cap=cap)
     if not verdict.supports_unsat:
         return None
     assert verdict.pattern is not None and verdict.embedding is not None
     emb = verdict.embedding
-    s = rename_variables(base_formula(verdict.pattern).cnf, dict(emb.branch_map))
-    for pattern_edge in sorted(emb.paths):
-        path = list(emb.paths[pattern_edge])
+    branch = emb.branch_map
+    clauses: list[Clause] = []
+    for a, b in base_formula(verdict.pattern).cnf.clauses:
+        path = emb.paths[(abs(a), abs(b))]
+        lit = branch[abs(a)] if a > 0 else -branch[abs(a)]
+        far_lit = branch[abs(b)] if b > 0 else -branch[abs(b)]
         if path[0] > path[-1]:
-            path.reverse()
-        far = path[-1]
-        anchor = path[0]
+            path = path[::-1]
+            lit, far_lit = far_lit, lit
+        anchor, far = path[0], path[-1]
         for inner in path[1:-1]:
-            s = lift_subdivision(s, edge(anchor, far), inner)
+            # lift_subdivision puts the fresh variable positive beside the
+            # smaller endpoint of the edge it splits
+            if anchor < far:
+                clauses.append(Clause.of(lit, inner))
+                lit = -inner
+            else:
+                clauses.append(Clause.of(lit, -inner))
+                lit = inner
             anchor = inner
-    s = extend_to_supergraph(s, g)
+        clauses.append(Clause.of(lit, far_lit))
+    s = extend_to_supergraph(Cnf2.of(clauses), g)
     result = solve(s)
     if result.satisfiable:
         raise InternalVerificationFailed("synthesized sentence is satisfiable")

@@ -12,7 +12,20 @@ import itertools
 import os
 import random
 
-from satminors import CensusReport, Cnf2, SimpleGraph, apply_assignment, reduce, solve
+from satminors import (
+    CensusReport,
+    Cnf2,
+    SimpleGraph,
+    apply_assignment,
+    base_formula,
+    decide_support,
+    edge,
+    extend_to_supergraph,
+    lift_subdivision,
+    reduce,
+    rename_variables,
+    solve,
+)
 from satminors.census import formula_at
 
 CORPUS_SEED = 20260809
@@ -140,6 +153,44 @@ def _count_solver(edges: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, 
         elif first_unsat is None:
             first_unsat = index
     return sat, first_unsat
+
+
+def simple_paths_recursive(host: SimpleGraph, start: int, goal: int, blocked: set[int]):
+    """Reference path enumeration: one recursive call per path vertex, same DFS order."""
+    path = [start]
+    on_path = {start}
+
+    def walk(v: int):
+        for w in host.neighbors(v):
+            if w == goal:
+                yield path + [goal]
+            elif w not in blocked and w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                yield from walk(w)
+                path.pop()
+                on_path.remove(w)
+
+    yield from walk(start)
+
+
+def witness_by_lifting(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
+    """Reference witness: rename the base sentence, then one lift_subdivision per interior vertex."""
+    verdict = decide_support(g, cap=cap)
+    if not verdict.supports_unsat:
+        return None
+    emb = verdict.embedding
+    s = rename_variables(base_formula(verdict.pattern).cnf, dict(emb.branch_map))
+    for pattern_edge in sorted(emb.paths):
+        path = list(emb.paths[pattern_edge])
+        if path[0] > path[-1]:
+            path.reverse()
+        far = path[-1]
+        anchor = path[0]
+        for inner in path[1:-1]:
+            s = lift_subdivision(s, edge(anchor, far), inner)
+            anchor = inner
+    return extend_to_supergraph(s, g)
 
 
 def census_by_solver(g: SimpleGraph) -> CensusReport:

@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 
-from satminors import Cnf2, cnf_to_dimacs, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
+from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
 
 S3_DIMACS = "p cnf 4 6\n1 2 0\n1 3 0\n-1 4 0\n-2 -3 0\n2 -4 0\n3 -4 0\n"
@@ -195,6 +195,16 @@ class TestMinorCommand:
         path = write(tmp_path, "h.graph", edgelist_to_text(fixture_graph("c3")))
         code, _, err = run(capsys, "minor", "pentagon", path)
         assert code == EXIT_USAGE
+
+    def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # K4 with the edge (1, 2) subdivided by 1500 vertices
+        chain = [1] + list(range(5, 1505)) + [2]
+        edges = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)] + list(zip(chain, chain[1:]))
+        path = write(tmp_path, "long.graph", edgelist_to_text(SimpleGraph.of(edges)))
+        code, out, err = run(capsys, "minor", "k4", path, "--cap", "5000")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "FOUND k4"
+        assert err == ""
 
 
 class TestFixtureCommand:

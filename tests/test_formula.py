@@ -11,7 +11,6 @@ from satminors.formula import (
     SubstitutionStep,
     VariableOutOfRange,
     apply_assignment,
-    clause_support,
     cnf_to_dimacs,
     is_reduced,
     parse_dimacs,
@@ -44,6 +43,10 @@ class TestClause:
     def test_canonical_order(self):
         assert Clause.of(2, -1) == Clause.of(-1, 2)
         assert Clause.of(-1, 1 * 2).literals == (Literal(1, False), Literal(2))
+        # a clause is its tuple of signed ints, built from ints or Literal values
+        c = Clause.of(-3, 2)
+        assert c == (2, -3) and hash(c) == hash((2, -3)) and repr(c) == "(2 -3)"
+        assert Clause((Literal(3, False), Literal(2))) == c == Clause([2, -3])
 
     def test_positive_sorts_before_negative(self):
         assert [l.to_int() for l in Clause.of(-2, 1).literals] == [1, -2]
@@ -56,11 +59,21 @@ class TestClause:
             Clause.of(1, -1)
         with pytest.raises(ValueError):
             Clause(tuple())
+        with pytest.raises(ValueError):
+            Clause.of(0, 1)
+        with pytest.raises(ValueError):
+            Clause.of(1, 2, 3)
+        with pytest.raises(ValueError):
+            Clause.of(Literal(2), -2)
+        with pytest.raises(TypeError):
+            Clause.of(True)
+        with pytest.raises(TypeError):
+            Cnf2.of([(1, 2)])
 
     def test_support(self):
-        assert clause_support(Clause.of(1, -2)) == frozenset({1, 2})
-        assert clause_support(Clause.of(1)) == frozenset({1})
-        assert clause_support(Clause.of(-1, -2)) == frozenset({1, 2})
+        assert Clause.of(1, -2).support == frozenset({1, 2})
+        assert Clause.of(1).support == frozenset({1})
+        assert Clause.of(-1, -2).support == frozenset({1, 2})
 
 
 class TestReduce:

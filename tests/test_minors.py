@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corpus_util import ci_subsample
+from corpus_util import acceptance_corpus, ci_subsample, simple_paths_recursive
 from satminors import (
     Embedding,
     Pattern,
@@ -16,6 +16,7 @@ from satminors import (
     supports_unsat_bruteforce,
     verify_embedding,
 )
+from satminors import minors
 from satminors.minors import PATTERN_ORDER, HostTooLarge
 
 
@@ -81,6 +82,14 @@ class TestFindTopologicalMinor:
         a = find_topological_minor(host, Pattern.BUTTERFLY)
         b = find_topological_minor(host, Pattern.BUTTERFLY)
         assert a == b
+
+    def test_iterative_paths_match_recursive_oracle(self, monkeypatch):
+        corpus = acceptance_corpus()
+        found = [[find_topological_minor(g, p) for p in PATTERN_ORDER] for g in corpus]
+        monkeypatch.setattr(minors, "_simple_paths", simple_paths_recursive)
+        expected = [[find_topological_minor(g, p) for p in PATTERN_ORDER] for g in corpus]
+        assert found == expected
+        assert sum(e is not None for row in found for e in row) > 100
 
 
 class TestVerifyEmbedding:

@@ -98,6 +98,31 @@ class TestCollapsePair:
         assert trace == (SubstitutionStep(1, True),)
         assert out == Cnf2.from_ints([[3]])
 
+    # every set of two or more clauses on the pair (1, 2), next to (2 3):
+    # the trace and result the lookup tables of the first implementation gave
+    @pytest.mark.parametrize(
+        "pair_clauses, trace, result",
+        [
+            (((1, 2), (1, -2)), "1:=T", "Cnf2(2 3)"),
+            (((1, 2), (-1, 2)), "2:=T", "Cnf2<true>"),
+            (((1, 2), (-1, -2)), "2:=-1", "Cnf2(-1 3)"),
+            (((1, -2), (-1, 2)), "2:=1", "Cnf2(1 3)"),
+            (((1, -2), (-1, -2)), "2:=F", "Cnf2(3)"),
+            (((-1, 2), (-1, -2)), "1:=F", "Cnf2(2 3)"),
+            (((1, 2), (1, -2), (-1, 2)), "1:=T 2:=T", "Cnf2<true>"),
+            (((1, 2), (1, -2), (-1, -2)), "1:=T 2:=F", "Cnf2(3)"),
+            (((1, 2), (-1, 2), (-1, -2)), "1:=F 2:=T", "Cnf2<true>"),
+            (((1, -2), (-1, 2), (-1, -2)), "1:=F 2:=F", "Cnf2(3)"),
+            (((1, 2), (1, -2), (-1, 2), (-1, -2)), "1:=T 2:=T", "Cnf2<false>"),
+        ],
+    )
+    def test_every_clause_set_on_a_pair(self, pair_clauses, trace, result):
+        s = Cnf2.from_ints(list(pair_clauses) + [[2, 3]])
+        out, steps = collapse_pair(s, 1, 2)
+        assert " ".join(map(repr, steps)) == trace
+        assert repr(out) == result
+        assert replay_trace(s, steps) == out
+
     def test_multiplicity_below_two_rejected(self):
         with pytest.raises(PreconditionViolated):
             collapse_pair(Cnf2.from_ints([[1, 2]]), 1, 2)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corpus_util import brute_force_satisfiable
+from corpus_util import acceptance_corpus, brute_force_satisfiable, witness_by_lifting
 from satminors import (
     Cnf2,
     Pattern,
@@ -255,6 +255,22 @@ class TestSynthesizeWitness:
         for name in ["c3", "cn:6", "k4-e", "square-butterfly", "butterfly", "book"]:
             g = fixture_graph(name)
             assert (synthesize_witness(g) is None) == (not decide_support(g).supports_unsat)
+
+    def test_matches_rename_and_lift_oracle(self):
+        names = (
+            ["c3", "k4", "k4-e", "butterfly", "bowtie", "book", "square-butterfly"]
+            + [f"cn:{k}" for k in range(3, 9)]
+            + [f"hills:{n}" for n in range(1, 5)]
+            + [f"config:{code}" for code in CONFIG_CODES]
+        )
+        graphs = [fixture_graph(n) for n in names]
+        for name in ("butterfly", "bowtie", "k4", "book"):
+            g = fixture_graph(name)
+            graphs += [subdivide_edge(g, e) for e in g.sorted_edges()]
+        qualifying = [g for g in acceptance_corpus() if decide_support(g).supports_unsat]
+        assert len(qualifying) > 100
+        for g in graphs + qualifying:
+            assert synthesize_witness(g) == witness_by_lifting(g), g
 
 
 class TestWitnessDimacs:
