@@ -19,6 +19,7 @@ from .formula import Cnf2, FormulaError, cnf_to_dimacs, parse_dimacs
 from .fixtures import UnknownFixture, fixture_graph, fixture_names
 from .graph import SimpleGraph, edgelist_to_text, parse_edgelist, support_graph, to_dot
 from .minors import (
+    Embedding,
     HostTooLarge,
     Pattern,
     decide_support,
@@ -170,10 +171,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         assert verdict.pattern is not None and verdict.embedding is not None
         report["verdict"] = "supports-unsat"
         report["pattern"] = verdict.pattern.value
-        report["embedding"] = {
-            "branch_map": {str(k): v for k, v in sorted(verdict.embedding.branch_map.items())},
-            "paths": {f"{u}-{v}": list(p) for (u, v), p in sorted(verdict.embedding.paths.items())},
-        }
+        report["embedding"] = _embedding_json(verdict.embedding)
         if args.witness is not None:
             witness = synthesize_witness(graph)
             assert witness is not None
@@ -203,23 +201,33 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _emit_analyze(args, report, witness_text) -> None:
     if args.json:
         print(json.dumps(report, sort_keys=True))
-        if witness_text is not None and report.get("witness_path") == "-":
-            sys.stdout.write(witness_text)
-        return
-    if "simplification" in report:
-        print(f"simplification: {report['simplification']}")
-    if report["verdict"] == "supports-unsat":
-        print(f"supports-unsat pattern={report['pattern']}")
-        for key, val in report["embedding"]["branch_map"].items():
-            print(f"  branch {key} -> {val}")
-        for key, val in report["embedding"]["paths"].items():
-            print(f"  path {key}: {'-'.join(map(str, val))}")
-    elif report["verdict"] == "only-satisfiable":
-        print(f"only-satisfiable reason={report['reason']}")
     else:
-        print(report["verdict"])
+        if "simplification" in report:
+            print(f"simplification: {report['simplification']}")
+        if report["verdict"] == "supports-unsat":
+            print(f"supports-unsat pattern={report['pattern']}")
+            _print_embedding(report["embedding"])
+        elif report["verdict"] == "only-satisfiable":
+            print(f"only-satisfiable reason={report['reason']}")
+        else:
+            print(report["verdict"])
     if witness_text is not None and report.get("witness_path") == "-":
         sys.stdout.write(witness_text)
+
+
+def _embedding_json(emb: Embedding) -> dict:
+    return {
+        "branch_map": {str(k): v for k, v in sorted(emb.branch_map.items())},
+        "paths": {f"{u}-{v}": list(p) for (u, v), p in sorted(emb.paths.items())},
+    }
+
+
+def _print_embedding(embedding: dict) -> None:
+    """Text form of an _embedding_json dict: branch lines, then path lines."""
+    for key, val in embedding["branch_map"].items():
+        print(f"  branch {key} -> {val}")
+    for key, val in embedding["paths"].items():
+        print(f"  path {key}: {'-'.join(map(str, val))}")
 
 
 def _graph_hash(g: SimpleGraph) -> str:
@@ -249,10 +257,7 @@ def _cmd_minor(args: argparse.Namespace) -> int:
         payload: dict = {"format_version": JSON_FORMAT_VERSION, "pattern": pattern.value,
                          "found": emb is not None}
         if emb is not None:
-            payload["embedding"] = {
-                "branch_map": {str(k): v for k, v in sorted(emb.branch_map.items())},
-                "paths": {f"{u}-{v}": list(p) for (u, v), p in sorted(emb.paths.items())},
-            }
+            payload["embedding"] = _embedding_json(emb)
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     if emb is None:
@@ -260,10 +265,7 @@ def _cmd_minor(args: argparse.Namespace) -> int:
         return EXIT_OK
     assert verify_embedding(host, pattern, emb)
     print(f"FOUND {pattern.value}")
-    for pv, hv in sorted(emb.branch_map.items()):
-        print(f"  branch {pv} -> {hv}")
-    for (u, v), path in sorted(emb.paths.items()):
-        print(f"  path {u}-{v}: {'-'.join(map(str, path))}")
+    _print_embedding(_embedding_json(emb))
     return EXIT_OK
 
 
@@ -303,10 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FormulaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except TooManyEdges as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except HostTooLarge as exc:
+    except (TooManyEdges, HostTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:

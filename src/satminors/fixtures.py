@@ -11,6 +11,7 @@ path is rendered as a single edge.
 from __future__ import annotations
 
 from .graph import SimpleGraph
+from .minors import Pattern, pattern_graph
 
 
 class UnknownFixture(ValueError):
@@ -37,10 +38,10 @@ def _hills(n: int) -> SimpleGraph:
     return _triangles(*((2 * i - 1, 2 * i, 2 * i + 1) for i in range(1, n + 1)))
 
 
-_K4 = SimpleGraph.of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+_K4 = pattern_graph(Pattern.K4)
 # K4 minus the (3, 4) edge: shared edge (1, 2), apexes 3 and 4
 _K4_MINUS_E = SimpleGraph.of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-_BOOK = SimpleGraph.of([(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)])
+_BOOK = pattern_graph(Pattern.BOOK)
 
 # Three triangles joined pairwise by paths (p), shared vertices (v), or
 # shared edges (e); codes name the three pairwise joinings.
@@ -95,9 +96,9 @@ def fixture_graph(name: str) -> SimpleGraph:
     if key == "k4-e":
         return _K4_MINUS_E
     if key == "butterfly":
-        return _triangles((1, 2, 3), (3, 4, 5))
+        return pattern_graph(Pattern.BUTTERFLY)
     if key == "bowtie":
-        return _triangles((1, 2, 3), (4, 5, 6), extra=((3, 4),))
+        return pattern_graph(Pattern.BOWTIE)
     if key == "book":
         return _BOOK
     if key == "square-butterfly":

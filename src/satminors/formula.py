@@ -239,6 +239,8 @@ class SubstitutionStep:
 
 def _pair_clauses(s: Cnf2, a: int, b: int) -> list[Clause]:
     """The clauses over exactly the variables a and b."""
+    if a == b:
+        raise ValueError("pair requires two distinct variables")
     lo, hi = min(a, b), max(a, b)
     # a clause's ints are sorted by variable, and a unit has one variable
     return [c for c in s.clauses if abs(c[0]) == lo and abs(c[-1]) == hi]

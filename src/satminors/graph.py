@@ -146,31 +146,39 @@ def support_graph(s: Cnf2) -> SimpleGraph:
     return as_simple(associated_multigraph(s))
 
 
+def _component_of(g: SimpleGraph) -> dict[int, int]:
+    """Component number of every vertex, numbered in order of smallest vertex id."""
+    label: dict[int, int] = {}
+    count = 0
+    for start in sorted(g.vertices):
+        if start in label:
+            continue
+        label[start] = count
+        queue = deque([start])
+        while queue:
+            for w in g.neighbors(queue.popleft()):
+                if w not in label:
+                    label[w] = count
+                    queue.append(w)
+        count += 1
+    return label
+
+
 def connected_components(g: SimpleGraph) -> list[SimpleGraph]:
     """Maximal connected subgraphs, ordered by smallest vertex id."""
-    seen: set[int] = set()
-    components = []
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        queue = deque([start])
-        comp = {start}
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    queue.append(w)
-        comp_edges = frozenset(e for e in g.edges if e[0] in comp)
-        components.append(SimpleGraph(frozenset(comp), comp_edges))
-    return components
+    label = _component_of(g)
+    vertices: list[set[int]] = [set() for _ in range(len(set(label.values())))]
+    edges: list[set[Edge]] = [set() for _ in vertices]
+    for v, i in label.items():
+        vertices[i].add(v)
+    for e in g.edges:
+        edges[label[e[0]]].add(e)
+    return [SimpleGraph(frozenset(vs), frozenset(es)) for vs, es in zip(vertices, edges)]
 
 
 def cycle_rank(g: SimpleGraph) -> int:
     """Dimension of the cycle space: |E| - |V| + number of components."""
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
+    return len(g.edges) - len(g.vertices) + len(set(_component_of(g).values()))
 
 
 def two_core(g: SimpleGraph) -> SimpleGraph:
@@ -194,43 +202,34 @@ def two_core(g: SimpleGraph) -> SimpleGraph:
 
 def cut_vertices(g: SimpleGraph) -> set[int]:
     """Vertices whose removal increases the component count (articulation points)."""
-    visited: set[int] = set()
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     result: set[int] = set()
-    counter = 0
     for root in sorted(g.vertices):
-        if root in visited:
+        if root in disc:
             continue
-        # iterative lowlink DFS; the root is a cut vertex iff it has 2+ DFS children
+        # lowlink DFS (Hopcroft-Tarjan 1973); the root is a cut vertex iff it has 2+ DFS children
         root_children = 0
-        stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
+        disc[root] = low[root] = len(disc)
+        stack = [(root, iter(g.neighbors(root)))]
         while stack:
-            v, parent, pos = stack[-1]
-            if pos == 0:
-                visited.add(v)
-                disc[v] = low[v] = counter
-                counter += 1
-            children = [w for w in g.neighbors(v) if w != parent]
-            descended = False
-            while pos < len(children):
-                w = children[pos]
-                pos += 1
-                if w not in visited:
-                    stack[-1] = (v, parent, pos)
-                    stack.append((w, v, 0))
-                    descended = True
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, iter(g.neighbors(w))))
                     break
+                # the parent edge may lower low[v] only to disc[parent], which the cut test accepts
                 low[v] = min(low[v], disc[w])
-            if descended:
-                continue
-            stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if parent == root:
-                    root_children += 1
-                elif low[v] >= disc[parent]:
-                    result.add(parent)
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if parent == root:
+                        root_children += 1
+                    elif low[v] >= disc[parent]:
+                        result.add(parent)
         if root_children >= 2:
             result.add(root)
     return result

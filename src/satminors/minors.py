@@ -20,6 +20,7 @@ from typing import Mapping
 from .graph import (
     Edge,
     SimpleGraph,
+    _component_of,
     connected_components,
     cut_vertices,
     cycle_rank,
@@ -119,11 +120,7 @@ def find_topological_minor(
     if len(host.vertices) < len(pg.vertices) or len(host.edges) < len(pg.edges):
         return None
 
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(connected_components(host)):
-        for v in comp.vertices:
-            comp_of[v] = i
-
+    comp_of = _component_of(host)
     pattern_vertices = sorted(pg.vertices, key=lambda v: (-pg.degree(v), v))
     candidates = {
         pv: [hv for hv in sorted(host.vertices) if host.degree(hv) >= pg.degree(pv)]
@@ -261,10 +258,14 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     evidence (first qualifying component, patterns in fixed order).
     """
     components = connected_components(g)
-    ranks = [cycle_rank(c) for c in components]
+    # a component is connected, so its cycle rank is |E| - |V| + 1
+    ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
     for comp, rank in zip(components, ranks):
         if rank >= 3 or (rank == 2 and cut_vertices(two_core(comp))):
             for pattern in PATTERN_ORDER:
+                # cycle rank never grows under taking a subgraph or subdividing
+                if cycle_rank(pattern_graph(pattern)) > rank:
+                    continue
                 emb = find_topological_minor(comp, pattern, cap=cap)
                 if emb is not None:
                     return Verdict(True, pattern=pattern, embedding=emb)

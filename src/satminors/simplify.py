@@ -55,8 +55,6 @@ class SimplifyOutcome:
 
 def count_pair_clauses(s: Cnf2, a: int, b: int) -> int:
     """Number of clauses over exactly the variables a and b (0 to 4)."""
-    if a == b:
-        raise ValueError("pair requires two distinct variables")
     return len(_pair_clauses(s, a, b))
 
 
@@ -91,12 +89,12 @@ def collapse_pair(s: Cnf2, a: int, b: int) -> tuple[Cnf2, Trace]:
     """
     if a > b:
         a, b = b, a
-    mult = count_pair_clauses(s, a, b)
-    if mult < 2:
-        raise PreconditionViolated(f"pair ({a}, {b}) has multiplicity {mult} < 2")
+    clauses = _pair_clauses(s, a, b)
+    if len(clauses) < 2:
+        raise PreconditionViolated(f"pair ({a}, {b}) has multiplicity {len(clauses)} < 2")
     # with a < b, a clause's first int is a's literal: (x or y) rules out
     # the assignment making both false
-    ruled_out = {(c[0] < 0, c[1] < 0) for c in _pair_clauses(s, a, b)}
+    ruled_out = {(c[0] < 0, c[1] < 0) for c in clauses}
     alive = [(ta, tb) for ta in (True, False) for tb in (True, False) if (ta, tb) not in ruled_out]
     steps: list[SubstitutionStep]
     if not alive:
@@ -114,10 +112,7 @@ def collapse_pair(s: Cnf2, a: int, b: int) -> tuple[Cnf2, Trace]:
         else:
             # the two assignments disagree on both: b must copy (or mirror) a
             steps = [SubstitutionStep(b, Literal(a, ta == tb))]
-    current = s
-    for step in steps:
-        current = substitute(current, step)
-    return current, tuple(steps)
+    return replay_trace(s, steps), tuple(steps)
 
 
 def _smallest_heavy_pair(s: Cnf2) -> tuple[int, int] | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import deque
 
 from satminors import (
     CensusReport,
@@ -200,3 +201,73 @@ def census_by_solver(g: SimpleGraph) -> CensusReport:
     sat, first_unsat = _count_solver(edges, 0, total)
     example = None if first_unsat is None else formula_at(edges, first_unsat)
     return CensusReport(g, total, sat, total - sat, example)
+
+
+def connected_components_by_edge_scan(g: SimpleGraph) -> list[SimpleGraph]:
+    """Reference components: BFS per component, then one scan of every edge per component."""
+    seen: set[int] = set()
+    components = []
+    for start in sorted(g.vertices):
+        if start in seen:
+            continue
+        queue = deque([start])
+        comp = {start}
+        seen.add(start)
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in comp:
+                    comp.add(w)
+                    seen.add(w)
+                    queue.append(w)
+        comp_edges = frozenset(e for e in g.edges if e[0] in comp)
+        components.append(SimpleGraph(frozenset(comp), comp_edges))
+    return components
+
+
+def cycle_rank_by_components(g: SimpleGraph) -> int:
+    """Reference cycle rank: |E| - |V| + the number of built component subgraphs."""
+    return len(g.edges) - len(g.vertices) + len(connected_components_by_edge_scan(g))
+
+
+def cut_vertices_by_child_lists(g: SimpleGraph) -> set[int]:
+    """Reference articulation points: lowlink DFS that rebuilds a vertex's child list on resume."""
+    visited: set[int] = set()
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    result: set[int] = set()
+    counter = 0
+    for root in sorted(g.vertices):
+        if root in visited:
+            continue
+        root_children = 0
+        stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
+        while stack:
+            v, parent, pos = stack[-1]
+            if pos == 0:
+                visited.add(v)
+                disc[v] = low[v] = counter
+                counter += 1
+            children = [w for w in g.neighbors(v) if w != parent]
+            descended = False
+            while pos < len(children):
+                w = children[pos]
+                pos += 1
+                if w not in visited:
+                    stack[-1] = (v, parent, pos)
+                    stack.append((w, v, 0))
+                    descended = True
+                    break
+                low[v] = min(low[v], disc[w])
+            if descended:
+                continue
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[v])
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= disc[parent]:
+                    result.add(parent)
+        if root_children >= 2:
+            result.add(root)
+    return result

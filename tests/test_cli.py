@@ -7,6 +7,19 @@ from satminors.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE,
 
 S3_DIMACS = "p cnf 4 6\n1 2 0\n1 3 0\n-1 4 0\n-2 -3 0\n2 -4 0\n3 -4 0\n"
 
+# The butterfly embedding in hills:3 as `analyze` and `minor butterfly` print
+# it, byte for byte, recorded before the two commands shared one renderer.
+HILLS3_EMBEDDING_TEXT = (
+    "  branch 1 -> 1\n  branch 2 -> 2\n  branch 3 -> 3\n  branch 4 -> 4\n  branch 5 -> 5\n"
+    "  path 1-2: 1-2\n  path 1-3: 1-3\n  path 2-3: 2-3\n"
+    "  path 3-4: 3-4\n  path 3-5: 3-5\n  path 4-5: 4-5\n"
+)
+HILLS3_EMBEDDING_JSON = (
+    '"embedding": {"branch_map": {"1": 1, "2": 2, "3": 3, "4": 4, "5": 5}, '
+    '"paths": {"1-2": [1, 2], "1-3": [1, 3], "2-3": [2, 3], "3-4": [3, 4], '
+    '"3-5": [3, 5], "4-5": [4, 5]}}'
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -94,6 +107,18 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         assert out.startswith("supports-unsat")
 
+    def test_hills_output_pinned(self, capsys, tmp_path):
+        path = write(tmp_path, "g.graph", edgelist_to_text(fixture_graph("hills:3")))
+        assert run(capsys, "analyze", path) == (
+            EXIT_OK, "supports-unsat pattern=butterfly\n" + HILLS3_EMBEDDING_TEXT, ""
+        )
+        assert run(capsys, "analyze", path, "--json") == (
+            EXIT_OK,
+            "{" + HILLS3_EMBEDDING_JSON
+            + ', "format_version": 1, "pattern": "butterfly", "verdict": "supports-unsat"}\n',
+            "",
+        )
+
     def test_witness_pipes_into_solve(self, capsys, tmp_path):
         graph_path = write(tmp_path, "g.graph", edgelist_to_text(fixture_graph("bowtie")))
         witness_path = str(tmp_path / "w.cnf")
@@ -107,6 +132,14 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", graph_path, "--witness")
         assert code == EXIT_OK
         dimacs = out[out.index("c var") :]
+        assert not solve(parse_dimacs(dimacs)).satisfiable
+
+    def test_json_report_then_witness_on_stdout(self, capsys, tmp_path):
+        graph_path = write(tmp_path, "g.graph", edgelist_to_text(fixture_graph("butterfly")))
+        code, out, _ = run(capsys, "analyze", graph_path, "--json", "--witness")
+        assert code == EXIT_OK
+        report_line, dimacs = out.split("\n", 1)
+        assert json.loads(report_line)["witness_path"] == "-"
         assert not solve(parse_dimacs(dimacs)).satisfiable
 
     def test_json_report(self, capsys, tmp_path):
@@ -177,6 +210,25 @@ class TestMinorCommand:
         code, out, _ = run(capsys, "minor", "butterfly", path)
         assert code == EXIT_OK
         assert out.splitlines()[0] == "FOUND butterfly"
+
+    def test_output_pinned(self, capsys, tmp_path):
+        path = write(tmp_path, "h.graph", edgelist_to_text(fixture_graph("hills:3")))
+        assert run(capsys, "minor", "butterfly", path) == (
+            EXIT_OK, "FOUND butterfly\n" + HILLS3_EMBEDDING_TEXT, ""
+        )
+        assert run(capsys, "minor", "butterfly", path, "--json") == (
+            EXIT_OK,
+            "{" + HILLS3_EMBEDDING_JSON
+            + ', "format_version": 1, "found": true, "pattern": "butterfly"}\n',
+            "",
+        )
+
+    def test_host_cap_exit(self, capsys, tmp_path):
+        path = write(tmp_path, "k4.graph", edgelist_to_text(fixture_graph("k4")))
+        code, out, err = run(capsys, "minor", "k4", path, "--cap", "3")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "resource cap" in err
 
     def test_not_found(self, capsys, tmp_path):
         path = write(tmp_path, "h.graph", edgelist_to_text(fixture_graph("k4-e")))

@@ -1,9 +1,16 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
 
+from corpus_util import (
+    acceptance_corpus,
+    connected_components_by_edge_scan,
+    cut_vertices_by_child_lists,
+    cycle_rank_by_components,
+)
 from satminors import (
     Cnf2,
     Multigraph,
@@ -51,6 +58,41 @@ def random_graph(rng: random.Random, max_n: int = 7) -> SimpleGraph:
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     chosen = [e for e in pairs if rng.random() < 0.45]
     return SimpleGraph.of(chosen, isolated=range(1, n + 1))
+
+
+def scattered_graph(rng: random.Random) -> SimpleGraph:
+    """10 to 25 small random components on shuffled vertex ids."""
+    ids = list(range(1, 151))
+    rng.shuffle(ids)
+    edges: list[tuple[int, int]] = []
+    vertices: list[int] = []
+    for _ in range(rng.randint(10, 25)):
+        part = [ids.pop() for _ in range(rng.randint(1, 6))]
+        vertices += part
+        # a random spanning tree keeps the part connected; chords add cycles
+        edges += [(part[i], part[rng.randrange(i)]) for i in range(1, len(part))]
+        edges += [e for e in itertools.combinations(part, 2) if rng.random() < 0.3]
+    return SimpleGraph.of(edges, isolated=vertices)
+
+
+def hub_graph(rng: random.Random) -> SimpleGraph:
+    """A hub of degree 50 to 80 whose leaves carry random chords and pendant paths."""
+    leaves = list(range(2, rng.randint(52, 82)))
+    edges = [(1, v) for v in leaves]
+    edges += [tuple(rng.sample(leaves, 2)) for _ in range(rng.randint(0, 12))]
+    fresh = leaves[-1] + 1
+    for _ in range(rng.randint(0, 6)):
+        anchor = rng.choice(leaves)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((anchor, fresh))
+            anchor, fresh = fresh, fresh + 1
+    return SimpleGraph.of(edges, isolated=range(fresh, fresh + rng.randint(0, 3)))
+
+
+def timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
 
 
 class TestAssociatedMultigraph:
@@ -256,6 +298,47 @@ class TestComponents:
             comps = connected_components(g)
             assert sorted(v for c in comps for v in c.vertices) == sorted(g.vertices)
             assert sum(len(c.edges) for c in comps) == len(g.edges)
+
+
+class TestLinearTraversals:
+    """The component labelling and the one-iterator lowlink DFS against the
+    quadratic implementations they replaced, kept in corpus_util as oracles."""
+
+    @staticmethod
+    def assert_matches_oracles(g: SimpleGraph) -> None:
+        assert connected_components(g) == connected_components_by_edge_scan(g)
+        assert cycle_rank(g) == cycle_rank_by_components(g)
+        assert cut_vertices(g) == cut_vertices_by_child_lists(g)
+
+    def test_acceptance_corpus(self):
+        for g in acceptance_corpus():
+            self.assert_matches_oracles(g)
+
+    def test_many_components_and_high_degree(self):
+        rng = random.Random(20261018)
+        graphs = [scattered_graph(rng) for _ in range(120)] + [hub_graph(rng) for _ in range(120)]
+        for g in graphs:
+            assert (
+                len(connected_components_by_edge_scan(g)) >= 10
+                or max(g.degree(v) for v in g.vertices) >= 50
+            )
+            self.assert_matches_oracles(g)
+
+    def test_star_cut_vertices_in_linear_time(self):
+        star = SimpleGraph.of([(1, k) for k in range(2, 10002)])
+        result, seconds = timed(lambda: cut_vertices(star))
+        assert result == {1}
+        assert seconds < 1.0
+
+    def test_disjoint_edges_in_linear_time(self):
+        matching = SimpleGraph.of([(2 * i + 1, 2 * i + 2) for i in range(10000)])
+        comps, seconds = timed(lambda: connected_components(matching))
+        assert [sorted(c.edges) for c in comps[:2]] == [[(1, 2)], [(3, 4)]]
+        assert len(comps) == 10000
+        assert seconds < 1.0
+        rank, seconds = timed(lambda: cycle_rank(matching))
+        assert rank == 0
+        assert seconds < 1.0
 
 
 class TestIsSubgraph:

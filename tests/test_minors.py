@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from satminors import (
     Pattern,
     Reason,
     SimpleGraph,
+    Verdict,
     decide_support,
     find_topological_minor,
     fixture_graph,
@@ -192,6 +194,26 @@ class TestDecideSupport:
         g = SimpleGraph.of([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
         verdict = decide_support(g)
         assert not verdict.supports_unsat and verdict.reason is Reason.UNICYCLIC
+
+
+class TestDecideSupportScaling:
+    def test_disjoint_edges(self):
+        matching = SimpleGraph.of([(2 * i + 1, 2 * i + 2) for i in range(10000)])
+        start = time.perf_counter()
+        verdict = decide_support(matching)
+        assert time.perf_counter() - start < 1.0
+        assert verdict == Verdict(False, reason=Reason.FOREST)
+
+    def test_rank_two_component_skips_rank_three_patterns(self):
+        # butterfly with a 30-vertex binary tree (heap order, ids 6..35) hung off vertex 2
+        tree = [(5 + i, 5 + c) for i in range(1, 31) for c in (2 * i, 2 * i + 1) if c <= 30]
+        g = SimpleGraph.of(sorted(fixture_graph("butterfly").edges) + [(2, 6)] + tree)
+        assert (len(g.vertices), len(g.edges) - len(g.vertices) + 1) == (35, 2)
+        start = time.perf_counter()
+        verdict = decide_support(g)
+        assert time.perf_counter() - start < 0.5
+        assert verdict.pattern is Pattern.BUTTERFLY
+        assert verdict.embedding == find_topological_minor(g, Pattern.BUTTERFLY)
 
 
 class TestOracleAgreementSmoke:

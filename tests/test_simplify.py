@@ -127,6 +127,11 @@ class TestCollapsePair:
         with pytest.raises(PreconditionViolated):
             collapse_pair(Cnf2.from_ints([[1, 2]]), 1, 2)
 
+    def test_same_variable_twice_rejected(self):
+        s = Cnf2.from_ints([[1, 2], [1, -2]])
+        with pytest.raises(ValueError, match="two distinct variables"):
+            collapse_pair(s, 1, 1)
+
 
 class TestToSimple:
     def test_tie_then_rewrite(self):
