@@ -28,7 +28,7 @@ from .minors import (
 )
 from .sat import solve
 from .simplify import SimplifyResult, to_simple
-from .witness import synthesize_witness, witness_to_dimacs
+from .witness import _witness_from_verdict, witness_to_dimacs
 
 EXIT_OK = 0
 EXIT_UNSAT = 20
@@ -173,7 +173,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report["pattern"] = verdict.pattern.value
         report["embedding"] = _embedding_json(verdict.embedding)
         if args.witness is not None:
-            witness = synthesize_witness(graph)
+            witness = _witness_from_verdict(graph, verdict)
             assert witness is not None
             witness_text = witness_to_dimacs(witness)
     else:

@@ -62,6 +62,8 @@ class SimpleGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
+        if self.vertices and min(self.vertices) < 1:
+            raise ValueError("vertex ids are positive integers")
         object.__setattr__(self, "edges", frozenset(edge(*e) for e in self.edges))
         for u, v in self.edges:
             if u not in self.vertices or v not in self.vertices:
@@ -165,9 +167,15 @@ def _component_of(g: SimpleGraph) -> dict[int, int]:
 
 
 def connected_components(g: SimpleGraph) -> list[SimpleGraph]:
-    """Maximal connected subgraphs, ordered by smallest vertex id."""
+    """Maximal connected subgraphs, ordered by smallest vertex id.
+
+    A connected graph is its own component: the graph itself is returned.
+    """
     label = _component_of(g)
-    vertices: list[set[int]] = [set() for _ in range(len(set(label.values())))]
+    count = len(set(label.values()))
+    if count == 1:
+        return [g]
+    vertices: list[set[int]] = [set() for _ in range(count)]
     edges: list[set[Edge]] = [set() for _ in vertices]
     for v, i in label.items():
         vertices[i].add(v)

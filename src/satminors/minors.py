@@ -113,6 +113,17 @@ def find_topological_minor(
     then routes internally disjoint paths for the pattern edges, most
     constrained edge first.  Deterministic; returns the first embedding in
     the fixed iteration order, or None when no subdivision embeds.
+
+    Each partial map is checked as it grows (forward checking, Ullmann
+    1976): once a pattern vertex is placed, the pattern edges among the
+    placed vertices must route with every placed branch image blocked, or
+    the candidate is dropped.  A full embedding extending the partial map
+    routes those edges by paths that avoid every branch image, so the check
+    never drops a map that could succeed.  A vertex that adds no edge and
+    lies on none of the paths that passed one level up keeps those paths,
+    and is not routed again.  The enumeration order is unchanged and a
+    complete map is routed from scratch, so the first embedding found is
+    the one the unchecked sweep finds.
     """
     if len(host.vertices) > cap:
         raise HostTooLarge(cap, len(host.vertices))
@@ -122,6 +133,13 @@ def find_topological_minor(
 
     comp_of = _component_of(host)
     pattern_vertices = sorted(pg.vertices, key=lambda v: (-pg.degree(v), v))
+    pattern_edges = pg.sorted_edges()
+    # prefix[i]: the pattern edges among the first i + 1 placed vertices
+    prefix = [
+        [e for e in pattern_edges if set(e) <= set(pattern_vertices[: i + 1])]
+        for i in range(len(pattern_vertices))
+    ]
+    last = len(pattern_vertices) - 1
     candidates = {
         pv: [hv for hv in sorted(host.vertices) if host.degree(hv) >= pg.degree(pv)]
         for pv in pattern_vertices
@@ -131,13 +149,26 @@ def find_topological_minor(
 
     branch: dict[int, int] = {}
     taken: set[int] = set()
+    # interiors[i]: interior vertices of the prefix routing that passed at level i
+    interiors: list[set[int]] = [set() for _ in pattern_vertices]
 
     found: Embedding | None = None
+
+    def prefix_routes(i: int, hv: int) -> bool:
+        # with no new edge, the last routing stands unless it runs through hv
+        if len(prefix[i]) == len(prefix[i - 1]) and hv not in interiors[i - 1]:
+            interiors[i] = interiors[i - 1]
+            return True
+        routed = _route_paths(host, prefix[i], branch)
+        if routed is None:
+            return False
+        interiors[i] = {w for path in routed.values() for w in path[1:-1]}
+        return True
 
     def assign(i: int) -> bool:
         nonlocal found
         if i == len(pattern_vertices):
-            placed = _route_paths(host, pg, branch)
+            placed = _route_paths(host, pattern_edges, branch)
             if placed is not None:
                 found = Embedding(dict(branch), placed)
                 return True
@@ -151,7 +182,7 @@ def find_topological_minor(
                 continue
             branch[pv] = hv
             taken.add(hv)
-            if assign(i + 1):
+            if (not 0 < i < last or prefix_routes(i, hv)) and assign(i + 1):
                 return True
             del branch[pv]
             taken.remove(hv)
@@ -162,38 +193,48 @@ def find_topological_minor(
 
 
 def _route_paths(
-    host: SimpleGraph, pg: SimpleGraph, branch: Mapping[int, int]
+    host: SimpleGraph, edges: list[Edge], branch: Mapping[int, int]
 ) -> dict[Edge, tuple[int, ...]] | None:
-    """Find internally disjoint host paths realizing every pattern edge."""
+    """Find internally disjoint host paths realizing the given pattern edges.
+
+    The paths avoid every branch image but their own two ends.
+    """
     branch_images = set(branch.values())
     internals: set[int] = set()
     placed: dict[Edge, tuple[int, ...]] = {}
 
-    def free_degree(hv: int) -> int:
-        return sum(1 for w in host.neighbors(hv) if w not in internals)
+    # free[b]: neighbours of branch image b that no placed path runs through
+    free = {b: host.degree(b) for b in branch_images}
+
+    def claim(inner: list[int], step: int) -> None:
+        for x in inner:
+            for w in host.neighbors(x):
+                if w in free:
+                    free[w] += step
 
     def constraint(e: Edge) -> tuple[int, Edge]:
-        u, v = e
-        return (min(free_degree(branch[u]), free_degree(branch[v])), e)
+        return (min(free[branch[e[0]]], free[branch[e[1]]]), e)
 
     def route(remaining: list[Edge]) -> bool:
         if not remaining:
             return True
-        e = min(remaining, key=constraint)
+        e = min(remaining, key=constraint) if len(remaining) > 1 else remaining[0]
         rest = [x for x in remaining if x != e]
         start, goal = branch[e[0]], branch[e[1]]
         blocked = (branch_images - {start, goal}) | internals
         for path in _simple_paths(host, start, goal, blocked):
-            inner = set(path[1:-1])
+            inner = path[1:-1]
             internals.update(inner)
+            claim(inner, -1)
             placed[e] = tuple(path)
             if route(rest):
                 return True
             internals.difference_update(inner)
+            claim(inner, 1)
             del placed[e]
         return False
 
-    if route(sorted(pg.edges)):
+    if route(edges):
         return placed
     return None
 

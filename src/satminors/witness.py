@@ -23,7 +23,7 @@ from .graph import (
     is_subgraph,
     support_graph,
 )
-from .minors import Pattern, decide_support
+from .minors import Pattern, Verdict, decide_support
 from .sat import solve
 
 
@@ -191,7 +191,11 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     lower-numbered endpoint.  The remaining edges of g are filled with
     positive clauses.
     """
-    verdict = decide_support(g, cap=cap)
+    return _witness_from_verdict(g, decide_support(g, cap=cap))
+
+
+def _witness_from_verdict(g: SimpleGraph, verdict: Verdict) -> Cnf2 | None:
+    """The witness of synthesize_witness, built from g's verdict without searching again."""
     if not verdict.supports_unsat:
         return None
     assert verdict.pattern is not None and verdict.embedding is not None

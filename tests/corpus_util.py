@@ -28,6 +28,14 @@ from satminors import (
     solve,
 )
 from satminors.census import formula_at
+from satminors.graph import _component_of
+from satminors.minors import (
+    Embedding,
+    HostTooLarge,
+    Pattern,
+    _simple_paths,
+    pattern_graph,
+)
 
 CORPUS_SEED = 20260809
 FULL_CORPUS = os.environ.get("SATMINORS_FULL", "") not in ("", "0")
@@ -111,6 +119,16 @@ def tree_corpus(max_edges: int = 8) -> list[SimpleGraph]:
             trees.append(prufer_tree([rng.randint(1, n) for _ in range(n - 2)]))
     assert all(len(t.edges) <= max_edges for t in trees)
     return trees
+
+
+def random_sparse_graph(rng: random.Random, n: int, chords: int) -> SimpleGraph:
+    """A random recursive tree on 1..n plus distinct chords, vertex ids shuffled."""
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    missing = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in edges]
+    edges.update(rng.sample(missing, chords))
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    return SimpleGraph.of((ids[u - 1], ids[v - 1]) for u, v in edges)
 
 
 def random_multigraph_raw(rng: random.Random, max_vars: int = 8, max_clauses: int = 20):
@@ -271,3 +289,89 @@ def cut_vertices_by_child_lists(g: SimpleGraph) -> set[int]:
         if root_children >= 2:
             result.add(root)
     return result
+
+
+def find_topological_minor_unpruned(
+    host: SimpleGraph, pattern: Pattern, cap: int = 64
+) -> Embedding | None:
+    """Reference search: place every pattern vertex, then route paths on complete maps only."""
+    if len(host.vertices) > cap:
+        raise HostTooLarge(cap, len(host.vertices))
+    pg = pattern_graph(pattern)
+    if len(host.vertices) < len(pg.vertices) or len(host.edges) < len(pg.edges):
+        return None
+
+    comp_of = _component_of(host)
+    pattern_vertices = sorted(pg.vertices, key=lambda v: (-pg.degree(v), v))
+    candidates = {
+        pv: [hv for hv in sorted(host.vertices) if host.degree(hv) >= pg.degree(pv)]
+        for pv in pattern_vertices
+    }
+    if any(not c for c in candidates.values()):
+        return None
+
+    branch: dict[int, int] = {}
+    taken: set[int] = set()
+
+    found: Embedding | None = None
+
+    def assign(i: int) -> bool:
+        nonlocal found
+        if i == len(pattern_vertices):
+            placed = route_paths_unpruned(host, pg, branch)
+            if placed is not None:
+                found = Embedding(dict(branch), placed)
+                return True
+            return False
+        pv = pattern_vertices[i]
+        home = comp_of[branch[pattern_vertices[0]]] if i else None
+        for hv in candidates[pv]:
+            if hv in taken:
+                continue
+            if home is not None and comp_of[hv] != home:
+                continue
+            branch[pv] = hv
+            taken.add(hv)
+            if assign(i + 1):
+                return True
+            del branch[pv]
+            taken.remove(hv)
+        return False
+
+    assign(0)
+    return found
+
+
+def route_paths_unpruned(host: SimpleGraph, pg: SimpleGraph, branch) -> dict | None:
+    """Reference routing of every edge of the pattern graph pg, most constrained edge first."""
+    branch_images = set(branch.values())
+    internals: set[int] = set()
+    placed: dict = {}
+
+    def free_degree(hv: int) -> int:
+        return sum(1 for w in host.neighbors(hv) if w not in internals)
+
+    def constraint(e):
+        u, v = e
+        return (min(free_degree(branch[u]), free_degree(branch[v])), e)
+
+    def route(remaining: list) -> bool:
+        if not remaining:
+            return True
+        e = min(remaining, key=constraint)
+        rest = [x for x in remaining if x != e]
+        start, goal = branch[e[0]], branch[e[1]]
+        blocked = (branch_images - {start, goal}) | internals
+        for path in _simple_paths(host, start, goal, blocked):
+            inner = set(path[1:-1])
+            internals.update(inner)
+            placed[e] = tuple(path)
+            if route(rest):
+                return True
+            internals.difference_update(inner)
+            del placed[e]
+        return False
+
+    if route(sorted(pg.edges)):
+        return placed
+    return None

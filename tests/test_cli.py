@@ -2,7 +2,8 @@ import json
 
 import networkx as nx
 
-from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
+from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
+from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
 
 S3_DIMACS = "p cnf 4 6\n1 2 0\n1 3 0\n-1 4 0\n-2 -3 0\n2 -4 0\n3 -4 0\n"
@@ -141,6 +142,24 @@ class TestAnalyzeCommand:
         report_line, dimacs = out.split("\n", 1)
         assert json.loads(report_line)["witness_path"] == "-"
         assert not solve(parse_dimacs(dimacs)).satisfiable
+
+    def test_witness_searches_once(self, capsys, tmp_path, monkeypatch):
+        g = fixture_graph("hills:3")
+        path = write(tmp_path, "g.graph", edgelist_to_text(g))
+        searches = []
+        search = minors.find_topological_minor
+
+        def counted(*args, **kwargs):
+            searches.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(minors, "find_topological_minor", counted)
+        decide_support(g)
+        once = list(searches)
+        searches.clear()
+        assert main(["analyze", "--witness", "-", path]) == EXIT_OK
+        assert searches == once and once
+        assert "c var" in capsys.readouterr().out
 
     def test_json_report(self, capsys, tmp_path):
         graph_path = write(tmp_path, "g.graph", edgelist_to_text(fixture_graph("book")))

@@ -291,6 +291,12 @@ class TestComponents:
         g = SimpleGraph.of([], isolated=[1, 2, 3])
         assert len(connected_components(g)) == 3
 
+    def test_connected_graph_is_its_own_component(self):
+        g = fixture_graph("hills:3")
+        (comp,) = connected_components(g)
+        assert comp is g
+        assert connected_components(SimpleGraph.of([])) == []
+
     def test_partition(self):
         rng = random.Random(36)
         for _ in range(100):
@@ -358,6 +364,13 @@ class TestEdgeListFormat:
     def test_round_trip(self):
         g = SimpleGraph.of([(1, 2), (2, 5)], isolated=[9])
         assert parse_edgelist(edgelist_to_text(g)) == g
+
+    @pytest.mark.parametrize("isolated", [[0], [-3], [0, -3]])
+    def test_vertex_ids_below_one_rejected(self, isolated):
+        with pytest.raises(ValueError, match="vertex ids are positive integers"):
+            SimpleGraph.of([(1, 2)], isolated=isolated)
+        with pytest.raises(ValueError, match="vertex ids are positive integers"):
+            SimpleGraph(frozenset(isolated), frozenset())
 
     def test_parse_forms(self):
         text = "# demo\nn 3\nv 7\n1 2\n2 3  # inline comment\n"

@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from corpus_util import acceptance_corpus, ci_subsample, simple_paths_recursive
+from corpus_util import (
+    acceptance_corpus,
+    ci_subsample,
+    find_topological_minor_unpruned,
+    random_sparse_graph,
+    simple_paths_recursive,
+)
 from satminors import (
     Embedding,
     Pattern,
@@ -16,6 +22,7 @@ from satminors import (
     pattern_graph,
     subdivide_edge,
     supports_unsat_bruteforce,
+    synthesize_witness,
     verify_embedding,
 )
 from satminors import minors
@@ -214,6 +221,76 @@ class TestDecideSupportScaling:
         assert time.perf_counter() - start < 0.5
         assert verdict.pattern is Pattern.BUTTERFLY
         assert verdict.embedding == find_topological_minor(g, Pattern.BUTTERFLY)
+
+
+def figure_eight(k: int) -> SimpleGraph:
+    """Two k-cycles sharing vertex 1, labelled around each cycle in turn."""
+    a = [1, *range(2, k + 1)]
+    b = [1, *range(k + 1, 2 * k)]
+    return SimpleGraph.of(list(zip(a, a[1:] + a[:1])) + list(zip(b, b[1:] + b[:1])))
+
+
+def assert_matches_unpruned(graphs) -> int:
+    """The pruned search returns the unpruned oracle's result for every pattern; count finds."""
+    found = [[find_topological_minor(g, p) for p in PATTERN_ORDER] for g in graphs]
+    expected = [[find_topological_minor_unpruned(g, p) for p in PATTERN_ORDER] for g in graphs]
+    assert found == expected
+    return sum(e is not None for row in found for e in row)
+
+
+class TestPrunedSearch:
+    def test_matches_unpruned_oracle_on_the_acceptance_corpus(self):
+        assert assert_matches_unpruned(acceptance_corpus()) > 100
+
+    def test_matches_unpruned_oracle_on_hills(self):
+        assert assert_matches_unpruned([fixture_graph(f"hills:{k}") for k in range(2, 6)]) == 7
+
+    def test_matches_unpruned_oracle_on_random_sparse_graphs(self):
+        # a random tree on 8-12 vertices plus 2-4 chords, every size and chord count alike
+        rng = random.Random(20261018)
+        graphs = [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(100)]
+        assert assert_matches_unpruned(graphs) > 100
+
+    def test_routes_the_edge_with_fewest_free_neighbours_first(self):
+        # routing the butterfly here takes subdivided paths, so the free
+        # degrees of its branch images fall as paths are placed, and the
+        # order in which the remaining edges are routed follows them
+        g = SimpleGraph.of([
+            (1, 2), (1, 4), (1, 6), (1, 9), (2, 5), (2, 6), (2, 10), (3, 5), (3, 6),
+            (3, 8), (3, 10), (3, 11), (4, 8), (5, 12), (6, 7), (7, 9), (7, 11), (8, 12),
+        ])
+        assert assert_matches_unpruned([g]) == 4
+
+    def test_prefix_check_blocks_placed_branch_images(self, monkeypatch):
+        # once the butterfly's triangle fills one cycle of a figure-eight, a
+        # fourth branch vertex on that cycle cuts it and its check fails; the
+        # search routes 2 prefixes, k - 2 placements of the fourth vertex and
+        # k - 2 complete maps
+        k = 12
+        routed = []
+        route_paths = minors._route_paths
+
+        def counted(host, edges, branch):
+            routed.append(len(edges))
+            return route_paths(host, edges, branch)
+
+        monkeypatch.setattr(minors, "_route_paths", counted)
+        assert find_topological_minor(figure_eight(k), Pattern.BUTTERFLY) is not None
+        assert len(routed) <= 2 * k - 2
+
+    def test_hills_six_decided_quickly(self):
+        g = fixture_graph("hills:6")
+        start = time.perf_counter()
+        verdict = decide_support(g)
+        assert time.perf_counter() - start < 0.3
+        assert verdict.pattern is Pattern.BUTTERFLY
+
+    def test_figure_eight_witness_quickly(self):
+        g = figure_eight(32)
+        start = time.perf_counter()
+        witness = synthesize_witness(g)
+        assert time.perf_counter() - start < 0.05
+        assert witness is not None
 
 
 class TestOracleAgreementSmoke:

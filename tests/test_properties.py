@@ -13,7 +13,9 @@ from satminors import (
     contract_edge,
     cut_vertices,
     cycle_rank,
+    edgelist_to_text,
     is_subgraph,
+    parse_edgelist,
     reduce,
     solve,
     subdivide_edge,
@@ -156,3 +158,9 @@ def test_components_partition(edges):
     assert sorted(v for c in comps for v in c.vertices) == sorted(g.vertices)
     assert sum(len(c.edges) for c in comps) == len(g.edges)
     assert cycle_rank(g) == sum(cycle_rank(c) for c in comps)
+
+
+@given(graph_edges, st.sets(st.integers(1, 12), max_size=5))
+def test_edgelist_text_round_trips_with_isolated_vertices(edges, isolated):
+    g = SimpleGraph.of(edges, isolated=isolated)
+    assert parse_edgelist(edgelist_to_text(g)) == g
