@@ -3,12 +3,13 @@
 Exactly four minimal obstruction graphs exist: the butterfly (two triangles
 sharing a vertex), the bowtie (two triangles joined by an edge), K4, and
 the 3-page book K_{1,1,3}.  A graph supports an unsatisfiable sentence iff
-one of these is a topological minor.  The fast decider never searches: a
+one of these is a topological minor.  The verdict never searches: a
 connected component qualifies when its cycle rank is at least three, or
 when it is exactly two and the 2-core has a cut vertex (a figure-eight or
 dumbbell core); a 2-connected rank-two core is a theta graph and supports
-only satisfiable sentences.  A generic subdivision-embedding search backs
-the decider and produces checkable evidence.
+only satisfiable sentences.  The evidence does: a generic
+subdivision-embedding search finds a pattern in a qualifying component and
+returns it as a checkable embedding.
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def find_topological_minor(
     placed vertices must route with every placed branch image blocked, or
     the candidate is dropped.  A full embedding extending the partial map
     routes those edges by paths that avoid every branch image, so the check
-    never drops a map that could succeed.  A vertex that adds no edge and
-    lies on none of the paths that passed one level up keeps those paths,
-    and is not routed again.  The enumeration order is unchanged and a
-    complete map is routed from scratch, so the first embedding found is
-    the one the unchecked sweep finds.
+    never drops a map that could succeed.  Each placement routes once, and
+    the routing of the last vertex, which covers every pattern edge, is the
+    embedding.  The first two placements route nothing: two branch images
+    in one component block no vertex between them, so their edge always
+    routes.
     """
     if len(host.vertices) > cap:
         raise HostTooLarge(cap, len(host.vertices))
@@ -149,30 +150,8 @@ def find_topological_minor(
 
     branch: dict[int, int] = {}
     taken: set[int] = set()
-    # interiors[i]: interior vertices of the prefix routing that passed at level i
-    interiors: list[set[int]] = [set() for _ in pattern_vertices]
 
-    found: Embedding | None = None
-
-    def prefix_routes(i: int, hv: int) -> bool:
-        # with no new edge, the last routing stands unless it runs through hv
-        if len(prefix[i]) == len(prefix[i - 1]) and hv not in interiors[i - 1]:
-            interiors[i] = interiors[i - 1]
-            return True
-        routed = _route_paths(host, prefix[i], branch)
-        if routed is None:
-            return False
-        interiors[i] = {w for path in routed.values() for w in path[1:-1]}
-        return True
-
-    def assign(i: int) -> bool:
-        nonlocal found
-        if i == len(pattern_vertices):
-            placed = _route_paths(host, pattern_edges, branch)
-            if placed is not None:
-                found = Embedding(dict(branch), placed)
-                return True
-            return False
+    def assign(i: int) -> Embedding | None:
         pv = pattern_vertices[i]
         home = comp_of[branch[pattern_vertices[0]]] if i else None
         for hv in candidates[pv]:
@@ -182,14 +161,20 @@ def find_topological_minor(
                 continue
             branch[pv] = hv
             taken.add(hv)
-            if (not 0 < i < last or prefix_routes(i, hv)) and assign(i + 1):
-                return True
+            # every pattern has at least four vertices, so levels 0 and 1,
+            # which need no routing, are never the last
+            routed = _route_paths(host, prefix[i], branch) if i > 1 else {}
+            if routed is not None:
+                if i == last:
+                    return Embedding(dict(branch), routed)
+                found = assign(i + 1)
+                if found is not None:
+                    return found
             del branch[pv]
             taken.remove(hv)
-        return False
+        return None
 
-    assign(0)
-    return found
+    return assign(0)
 
 
 def _route_paths(

@@ -70,7 +70,6 @@ def _tarjan_components(adj: list[list[int]]) -> list[int]:
     UNVISITED = -1
     index = [UNVISITED] * n
     low = [0] * n
-    on_stack = [False] * n
     comp = [UNVISITED] * n
     stack: list[int] = []
     counter = 0
@@ -78,36 +77,32 @@ def _tarjan_components(adj: list[list[int]]) -> list[int]:
     for root in range(n):
         if index[root] != UNVISITED:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(edge_pos, len(adj[v])):
-                w = adj[v][i]
+            v, succ = work[-1]
+            for w in succ:
                 if index[w] == UNVISITED:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
+                # a visited vertex with no component yet is still on the stack
+                if comp[w] == UNVISITED:
                     low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return comp

@@ -291,6 +291,55 @@ def cut_vertices_by_child_lists(g: SimpleGraph) -> set[int]:
     return result
 
 
+def tarjan_components_by_edge_positions(adj: list[list[int]]) -> list[int]:
+    """Reference SCCs: iterative Tarjan with (vertex, edge index) frames and an on-stack array."""
+    n = len(adj)
+    UNVISITED = -1
+    index = [UNVISITED] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = [UNVISITED] * n
+    stack: list[int] = []
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if index[root] != UNVISITED:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, edge_pos = work[-1]
+            if edge_pos == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for i in range(edge_pos, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == UNVISITED:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return comp
+
+
 def find_topological_minor_unpruned(
     host: SimpleGraph, pattern: Pattern, cap: int = 64
 ) -> Embedding | None:

@@ -264,8 +264,9 @@ class TestPrunedSearch:
     def test_prefix_check_blocks_placed_branch_images(self, monkeypatch):
         # once the butterfly's triangle fills one cycle of a figure-eight, a
         # fourth branch vertex on that cycle cuts it and its check fails; the
-        # search routes 2 prefixes, k - 2 placements of the fourth vertex and
-        # k - 2 complete maps
+        # search routes the triangle once, each of the k - 2 placements of
+        # the fourth vertex, and each of the k - 2 placements of the fifth,
+        # whose routing is the embedding
         k = 12
         routed = []
         route_paths = minors._route_paths
@@ -276,7 +277,7 @@ class TestPrunedSearch:
 
         monkeypatch.setattr(minors, "_route_paths", counted)
         assert find_topological_minor(figure_eight(k), Pattern.BUTTERFLY) is not None
-        assert len(routed) <= 2 * k - 2
+        assert len(routed) == 2 * k - 3
 
     def test_hills_six_decided_quickly(self):
         g = fixture_graph("hills:6")

@@ -1,8 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from corpus_util import brute_force_satisfiable, random_cnf
+from corpus_util import (
+    brute_force_satisfiable,
+    random_cnf,
+    random_multigraph_raw,
+    tarjan_components_by_edge_positions,
+)
+from test_pinned import _sentence_transcript
 from satminors import (
     Clause,
     Cnf2,
@@ -13,6 +20,7 @@ from satminors import (
     reduce,
     solve,
 )
+from satminors import sat
 
 S1 = Cnf2.from_ints([[1, 2], [-1, 3], [-2, 3], [-3, 4], [-3, 5], [-4, -5]])
 S2 = Cnf2.from_ints([[1, 2], [-1, 3], [-2, 3], [-3, 4], [-4, 5], [-4, 6], [-5, -6]])
@@ -120,3 +128,37 @@ class TestCheckModel:
         s = Cnf2.from_ints([[1, -2], [2, 3]])
         m = {1: True, 2: True, 3: False}
         assert check_model(s, m) == apply_assignment(s, m).is_true
+
+
+class TestTarjanComponents:
+    @staticmethod
+    def implication_graphs(monkeypatch, run) -> list[list[list[int]]]:
+        """The implication graphs that solve hands to the SCC pass while run() executes."""
+        graphs = []
+        original = sat._tarjan_components
+
+        def recording(adj):
+            graphs.append(adj)
+            return original(adj)
+
+        monkeypatch.setattr(sat, "_tarjan_components", recording)
+        run()
+        monkeypatch.undo()
+        return graphs
+
+    def test_matches_edge_position_oracle_on_random_implication_graphs(self, monkeypatch):
+        rng = random.Random(20261018)
+        sentences = [reduce(random_multigraph_raw(rng, 30, 60)) for _ in range(300)]
+        graphs = self.implication_graphs(monkeypatch, lambda: [solve(s) for s in sentences])
+        merged = 0
+        for adj in graphs:
+            expected = tarjan_components_by_edge_positions(adj)
+            assert sat._tarjan_components(adj) == expected
+            merged += max(Counter(expected).values()) >= 3
+        assert merged > 100
+
+    def test_matches_edge_position_oracle_on_pinned_sentences(self, monkeypatch):
+        graphs = self.implication_graphs(monkeypatch, _sentence_transcript)
+        assert len(graphs) > 400
+        for adj in graphs:
+            assert sat._tarjan_components(adj) == tarjan_components_by_edge_positions(adj)
