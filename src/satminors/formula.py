@@ -11,6 +11,12 @@ A clause is its tuple of signed DIMACS ints (3 for a variable, -3 for its
 negation), and every operation here works on those ints.  Literal is a
 public value type built only on demand: by Clause.literals, and as the
 replacement of a substitution step.
+
+Building is near-linear: parse_dimacs reads the clause body as one token
+stream (one int() per token, the range checked with min and max, clauses
+cut at the zeros) and looks for line numbers only when it raises; reduce
+takes a pair of plain ints without per-literal coercion; and a sentence
+sorts its clauses once, by an int key.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 # Partial truth assignment, variable index -> value.
 Assignment = dict[int, bool]
@@ -129,9 +135,24 @@ def _clause(lits: Sequence[int]) -> Clause:
     return tuple.__new__(Clause, lits)
 
 
-def _canonical_order(c: Clause) -> list[int]:
-    # by variable, positive before negative
-    return [2 * x if x > 0 else 1 - 2 * x for x in c]
+def _canonical_key(clauses: Iterable[Clause]) -> Callable[[Clause], int]:
+    """An int sort key for these clauses: by variable, positive first.
+
+    A literal x maps to 2x or 1 - 2x.  A pair packs its two codes into one
+    int, and a unit sorts before every pair that starts with its literal,
+    as no literal maps to 0.
+    """
+    shift = max(map(abs, chain.from_iterable(clauses))).bit_length() + 2
+
+    def key(c: Clause) -> int:
+        x = c[0]
+        k = (2 * x if x > 0 else 1 - 2 * x) << shift
+        if len(c) == 1:
+            return k
+        y = c[1]
+        return k | (2 * y if y > 0 else 1 - 2 * y)
+
+    return key
 
 
 def _literal_int(x: Union[Literal, int]) -> int:
@@ -168,7 +189,8 @@ class Cnf2:
                 raise ValueError("nontrivial sentence needs at least one clause")
             if not all(isinstance(c, Clause) for c in self.clauses):
                 raise TypeError("a sentence holds Clause values only")
-            ordered = tuple(sorted(set(self.clauses), key=_canonical_order))
+            distinct = set(self.clauses)
+            ordered = tuple(sorted(distinct, key=_canonical_key(distinct)))
             object.__setattr__(self, "clauses", ordered)
         elif self.clauses:
             raise ValueError(f"{self.kind.value} sentence carries no clauses")
@@ -261,6 +283,18 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
     kept: list[Clause] = []
     false_seen = False
     for raw in raw_clauses:
+        if type(raw) is not list and type(raw) is not tuple:
+            raw = tuple(raw)
+        if len(raw) == 2:
+            a, b = raw
+            # two nonzero plain ints need no coercion; type(), not isinstance,
+            # leaves bool to the checks below
+            if type(a) is int and type(b) is int and a and b:
+                if a == b:
+                    kept.append(tuple.__new__(Clause, (a,)))
+                elif a != -b:
+                    kept.append(tuple.__new__(Clause, (a, b) if abs(a) < abs(b) else (b, a)))
+                continue
         lits: list[int] = []
         always_true = False
         for x in raw:
@@ -385,62 +419,96 @@ def parse_dimacs(text: Union[str, bytes]) -> Cnf2:
     """Parse DIMACS CNF text into a reduced sentence.
 
     Accepts `c` comment lines, one `p cnf <nvars> <nclauses>` header, and
-    clauses of nonzero integers terminated by 0 (clauses may span lines).
-    Clauses with three or more distinct literals are rejected; the declared
-    clause count is not enforced.  An explicit empty clause yields the
-    false sentence; no clauses at all yield the true sentence.
+    clauses of nonzero integers terminated by 0 (clauses may span lines,
+    and a line may hold several).  Clauses with three or more distinct
+    literals are rejected; the declared clause count is not enforced.  An
+    explicit empty clause yields the false sentence; no clauses at all
+    yield the true sentence.  Errors name the first offending line.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(0, f"input is not valid UTF-8: {exc}") from None
-    nvars: int | None = None
-    clauses: list[tuple[list[int], int]] = []
-    pending: list[int] = []
-    pending_line = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
-        if stripped.startswith("p"):
-            if nvars is not None:
-                raise ParseError(lineno, "duplicate problem line")
-            parts = stripped.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise ParseError(lineno, f"malformed problem line: {stripped!r}")
-            try:
-                nvars, _ = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, f"malformed problem line: {stripped!r}") from None
-            if nvars < 0:
-                raise ParseError(lineno, "negative variable count")
-            continue
-        if nvars is None:
+        if not stripped.startswith("p"):
             raise ParseError(lineno, "clause appears before the problem line")
-        for token in stripped.split():
-            try:
-                n = int(token)
-            except ValueError:
-                raise ParseError(lineno, f"bad token {token!r}") from None
-            if n == 0:
-                clauses.append((pending, lineno))
-                pending = []
-            else:
-                if abs(n) > nvars:
-                    raise VariableOutOfRange(
-                        f"line {lineno}: literal {n} exceeds declared count {nvars}"
-                    )
-                pending.append(n)
-        pending_line = lineno
-    if pending:
-        raise ParseError(pending_line, "clause not terminated by 0")
-    if nvars is None:
+        parts = stripped.split()
+        if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            raise ParseError(lineno, f"malformed problem line: {stripped!r}")
+        try:
+            nvars, _ = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise ParseError(lineno, f"malformed problem line: {stripped!r}") from None
+        if nvars < 0:
+            raise ParseError(lineno, "negative variable count")
+        break
+    else:
         raise ParseError(0, "missing problem line")
-    for ints, lineno in clauses:
-        if len(set(ints)) > 2:
-            raise ClauseTooLong(f"line {lineno}: clause has {len(set(ints))} distinct literals")
-    return reduce([ints for ints, _ in clauses])
+    return reduce(_body_clauses(lines[lineno:], lineno, nvars))
+
+
+def _body_clauses(body: list[str], before: int, nvars: int) -> list[Sequence[int]]:
+    """The clauses of the lines after the problem line `before`, as int sequences.
+
+    The body is read as one token stream.  A second problem line stays in
+    it and fails as a token, so errors keep their order in the text; line
+    numbers are worked out only when raising.
+    """
+    tokens = " ".join([ln for ln in body if not ln.lstrip().startswith("c")]).split()
+    try:
+        ints = list(map(int, tokens))
+    except ValueError:
+        ints = None
+    if ints is None or (ints and max(max(ints), -min(ints)) > nvars):
+        raise _token_error(tokens, body, before, nvars)
+    if ints and ints[-1] != 0:
+        raise ParseError(_token_line(body, before, len(ints) - 1), "clause not terminated by 0")
+    if ints.count(0) * 3 == len(ints) and not any(ints[2::3]):
+        # every clause has two literals
+        return list(zip(ints[0::3], ints[1::3]))
+    clauses = []
+    i = 0
+    while i < len(ints):
+        j = ints.index(0, i)
+        clause = ints[i:j]
+        if len(clause) > 2 and len(set(clause)) > 2:
+            line = _token_line(body, before, j)
+            raise ClauseTooLong(f"line {line}: clause has {len(set(clause))} distinct literals")
+        clauses.append(clause)
+        i = j + 1
+    return clauses
+
+
+def _token_line(body: list[str], before: int, k: int) -> int:
+    """The line number of body token k, where body follows line `before`."""
+    for lineno, line in enumerate(body, start=before + 1):
+        if not line.lstrip().startswith("c"):
+            k -= len(line.split())
+            if k < 0:
+                break
+    return lineno
+
+
+def _token_error(tokens: list[str], body: list[str], before: int, nvars: int) -> FormulaError:
+    """The error for the first body token that is no literal in range."""
+    for k, token in enumerate(tokens):
+        try:
+            n = int(token)
+        except ValueError:
+            break
+        if abs(n) > nvars:
+            lineno = _token_line(body, before, k)
+            return VariableOutOfRange(f"line {lineno}: literal {n} exceeds declared count {nvars}")
+    lineno = _token_line(body, before, k)
+    # a line that starts with p fails at its first token
+    if body[lineno - before - 1].lstrip().startswith("p"):
+        return ParseError(lineno, "duplicate problem line")
+    return ParseError(lineno, f"bad token {token!r}")
 
 
 def cnf_to_dimacs(s: Cnf2, comments: Sequence[str] = ()) -> str:

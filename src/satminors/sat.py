@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Assignment, Cnf2, apply_assignment
+from .formula import Assignment, Cnf2
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,21 @@ def solve(s: Cnf2) -> SolveResult:
 
 
 def check_model(s: Cnf2, m: Assignment) -> bool:
-    """True iff applying the assignment reduces the sentence to true."""
-    return apply_assignment(s, m).is_true
+    """True iff applying the assignment reduces the sentence to true.
+
+    That is, the sentence is true, or every clause has a literal the
+    assignment makes true; no rewritten sentence is built.
+    """
+    if not s.is_nontrivial:
+        return s.is_true
+    for clause in s.clauses:
+        for x in clause:
+            v = abs(x)
+            if v in m and bool(m[v]) == (x > 0):
+                break
+        else:
+            return False
+    return True
 
 
 def _tarjan_components(adj: list[list[int]]) -> list[int]:

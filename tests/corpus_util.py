@@ -11,14 +11,18 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from collections import deque
+from collections import Counter, deque
 
 from satminors import (
     CensusReport,
     Cnf2,
     SimpleGraph,
+    SimplifyOutcome,
+    SimplifyResult,
+    SubstitutionStep,
     apply_assignment,
     base_formula,
+    collapse_pair,
     decide_support,
     edge,
     extend_to_supergraph,
@@ -26,8 +30,10 @@ from satminors import (
     reduce,
     rename_variables,
     solve,
+    substitute,
 )
 from satminors.census import formula_at
+from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange
 from satminors.graph import _component_of
 from satminors.minors import (
     Embedding,
@@ -424,3 +430,121 @@ def route_paths_unpruned(host: SimpleGraph, pg: SimpleGraph, branch) -> dict | N
     if route(sorted(pg.edges)):
         return placed
     return None
+
+
+def parse_dimacs_by_lines(text: str | bytes) -> Cnf2:
+    """Reference DIMACS reader: one line at a time, one int() per token."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(0, f"input is not valid UTF-8: {exc}") from None
+    nvars: int | None = None
+    clauses: list[tuple[list[int], int]] = []
+    pending: list[int] = []
+    pending_line = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if nvars is not None:
+                raise ParseError(lineno, "duplicate problem line")
+            parts = stripped.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise ParseError(lineno, f"malformed problem line: {stripped!r}")
+            try:
+                nvars, _ = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(lineno, f"malformed problem line: {stripped!r}") from None
+            if nvars < 0:
+                raise ParseError(lineno, "negative variable count")
+            continue
+        if nvars is None:
+            raise ParseError(lineno, "clause appears before the problem line")
+        for token in stripped.split():
+            try:
+                n = int(token)
+            except ValueError:
+                raise ParseError(lineno, f"bad token {token!r}") from None
+            if n == 0:
+                clauses.append((pending, lineno))
+                pending = []
+            else:
+                if abs(n) > nvars:
+                    raise VariableOutOfRange(
+                        f"line {lineno}: literal {n} exceeds declared count {nvars}"
+                    )
+                pending.append(n)
+        pending_line = lineno
+    if pending:
+        raise ParseError(pending_line, "clause not terminated by 0")
+    if nvars is None:
+        raise ParseError(0, "missing problem line")
+    for ints, lineno in clauses:
+        if len(set(ints)) > 2:
+            raise ClauseTooLong(f"line {lineno}: clause has {len(set(ints))} distinct literals")
+    return reduce([ints for ints, _ in clauses])
+
+
+def eliminate_units_by_rewriting(s: Cnf2) -> tuple[Cnf2, tuple[SubstitutionStep, ...]]:
+    """Reference unit elimination: rewrite the whole sentence once per binding."""
+    trace: list[SubstitutionStep] = []
+    current = s
+    while current.is_nontrivial:
+        units = [c[0] for c in current.clauses if len(c) == 1]
+        if not units:
+            break
+        # smallest variable first, its positive unit before its negative one
+        lit = min(units, key=lambda x: (abs(x), x < 0))
+        step = SubstitutionStep(abs(lit), lit > 0)
+        trace.append(step)
+        current = substitute(current, step)
+    return current, tuple(trace)
+
+
+def _smallest_heavy_pair(s: Cnf2) -> tuple[int, int] | None:
+    counts = Counter((abs(c[0]), abs(c[1])) for c in s.clauses if len(c) == 2)
+    heavy = [p for p, n in counts.items() if n >= 2]
+    return min(heavy) if heavy else None
+
+
+def to_simple_by_rewriting(s: Cnf2) -> SimplifyOutcome:
+    """Reference simplifier: clear units, recount every pair, collapse the smallest, repeat."""
+    trace: list[SubstitutionStep] = []
+    current = s
+    while True:
+        current, t = eliminate_units_by_rewriting(current)
+        trace.extend(t)
+        if current.is_true:
+            return SimplifyOutcome(SimplifyResult.TRIVIALLY_TRUE, current, tuple(trace))
+        if current.is_false:
+            return SimplifyOutcome(SimplifyResult.UNSATISFIABLE, current, tuple(trace))
+        pair = _smallest_heavy_pair(current)
+        if pair is None:
+            return SimplifyOutcome(SimplifyResult.SIMPLE, current, tuple(trace))
+        current, t = collapse_pair(current, *pair)
+        trace.extend(t)
+
+
+def equivalence_chain(n: int) -> Cnf2:
+    """Variables 1..n pairwise equal along the chain, plus the clause (1 n)."""
+    raw = [[1, n]]
+    for i in range(1, n):
+        raw += [[i, -(i + 1)], [-i, i + 1]]
+    return reduce(raw)
+
+
+def unit_chain(n: int) -> Cnf2:
+    """The unit (1) and the implications i -> i+1 for i < n."""
+    return reduce([[1]] + [[-i, i + 1] for i in range(1, n)])
+
+
+def clause_fan(m: int) -> Cnf2:
+    """(i or -(i+1)) for i < m and (-i or m) for i < m.
+
+    Only the pair (m-1, m) repeats at first.  Each collapse binds the larger
+    variable of the smallest repeated pair to the smaller, which moves every
+    clause gathered on it one variable down and repeats the next pair.
+    """
+    return reduce([[i, -(i + 1)] for i in range(1, m)] + [[-i, m] for i in range(1, m)])

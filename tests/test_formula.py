@@ -1,5 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
+from corpus_util import parse_dimacs_by_lines
 from satminors.formula import (
     BOTTOM,
     TOP,
@@ -191,6 +195,19 @@ class TestCanonicalEquality:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_canonical_order_for_any_variable_size(self):
+        # by variable, positive before negative, a unit before its pairs
+        rng = random.Random(5)
+        for scale in (1, 2**31, 2**70):
+            for _ in range(50):
+                def lit():
+                    return rng.choice([1, -1]) * rng.randint(1, 9) * scale
+
+                raw = [[lit() for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(1, 25))]
+                s = reduce(raw)
+                codes = [[2 * x if x > 0 else 1 - 2 * x for x in c] for c in s.clauses]
+                assert codes == sorted(codes)
+
 
 class TestParseDimacs:
     def test_direct_transcription(self):
@@ -250,6 +267,88 @@ class TestParseDimacs:
         with pytest.raises(ParseError) as err:
             parse_dimacs("p cnf 2 1\nnope 0\n")
         assert err.value.line == 2
+
+
+# whitespace that str.split() splits on; the last seven also end a line
+_BLANKS = [" ", "  ", "\t", "\xa0", "\u2003", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028"]
+_ODD_TOKENS = ["x", "--3", "+3", "-0", "00", "1_0", "3.0", "0x1", "\u0663", "p", "p cnf 3 3", "cnf"]
+
+
+def _dimacs_text(rng: random.Random) -> str | bytes:
+    """Seeded DIMACS-like text, well-formed or broken in one of many ways."""
+    nvars = rng.randint(1, 6) if rng.random() < 0.95 else 0
+    items: list[str] = []
+    for _ in range(rng.randint(0, 2)):
+        items.append(rng.choice(["c lead", "", "   ", "c"]) + "\n")
+    if rng.random() < 0.05:
+        items.append("1 0\n")  # a clause before the header
+    if rng.random() < 0.95:
+        header = f"p cnf {nvars} {rng.randint(0, 9)}"
+        if rng.random() < 0.06:
+            header = rng.choice(["p cnf 3", "p dnf 3 3", "p cnf -1 0", "p cnf x 2", "pcnf 3 3"])
+        items.append(rng.choice(["", "  ", "\t"]) + header + rng.choice(["\n", "\r\n", "\x0c"]))
+    for _ in range(rng.randint(0, 8)):
+        shape = rng.random()
+        if shape < 0.08:
+            items.append(rng.choice(["c mid", "  c indented 1 2 0", "c"]) + "\n")
+            continue
+        if shape < 0.12:
+            items.append(rng.choice(_ODD_TOKENS))
+        width = rng.choices([0, 1, 2, 3], [1, 3, 12, 1])[0]
+        limit = nvars + (1 if rng.random() < 0.02 else 0)
+        lits = [rng.choice([1, -1]) * rng.randint(1, max(limit, 1)) for _ in range(width)]
+        if width == 3 and rng.random() < 0.5:
+            lits[2] = rng.choice([lits[0], -lits[0]])
+        items += [str(x) for x in lits]
+        if rng.random() < 0.95:
+            items.append("0")
+    text = ""
+    for item in items:
+        text += item if item.endswith("\n") else item + rng.choice(_BLANKS)
+    if rng.random() < 0.1:
+        text = text.rstrip()
+    if rng.random() < 0.1:
+        data = text.encode()
+        cut = rng.randint(0, len(data))
+        return data[:cut] + rng.choice([b"", b"\xff", b"\xc3"]) + data[cut:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, VariableOutOfRange, ClauseTooLong) as exc:
+        return type(exc), str(exc)
+
+
+class TestParseDimacsMatchesLineReader:
+    def test_seeded_texts(self):
+        rng = random.Random(20261018)
+        kinds = Counter()
+        for _ in range(4000):
+            text = _dimacs_text(rng)
+            got = _outcome(parse_dimacs, text)
+            assert got == _outcome(parse_dimacs_by_lines, text), text
+            if isinstance(got, Cnf2):
+                kinds[got.kind.value] += 1
+            elif got[0] is ParseError:
+                kinds[" ".join(got[1].split(": ", 1)[-1].split()[:2])] += 1
+            else:
+                kinds[got[0].__name__] += 1
+        # every way to fail occurs, and many texts parse
+        assert set(kinds) >= {
+            "true", "false", "nontrivial", "ClauseTooLong", "VariableOutOfRange", "bad token",
+            "duplicate problem", "clause not", "clause appears", "missing problem",
+            "malformed problem", "negative variable", "input is",
+        }, kinds
+        assert kinds["nontrivial"] > 1000, kinds
+
+    def test_line_numbers_count_every_line_break(self):
+        text = "c x\r\np cnf 3 2\x0c1 2 0\x0b\x85c 1\u2028-3 x 0\n"
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(text)
+        assert err.value.line == 6
+        assert str(err.value) == str(pytest.raises(ParseError, parse_dimacs_by_lines, text).value)
 
 
 class TestDimacsEmission:

@@ -129,6 +129,28 @@ class TestCheckModel:
         m = {1: True, 2: True, 3: False}
         assert check_model(s, m) == apply_assignment(s, m).is_true
 
+    def test_matches_apply_assignment_on_seeded_sentences(self):
+        rng = random.Random(20261018)
+        sentences = [Cnf2.true(), Cnf2.false()]
+        sentences += [reduce(random_multigraph_raw(rng, 10, 25)) for _ in range(600)]
+        verdicts = Counter()
+        for s in sentences:
+            variables = sorted(s.variables())
+            model = solve(s).model or {v: rng.random() < 0.5 for v in variables}
+            flip = rng.choice(variables) if variables else 1
+            models = [
+                model,
+                {v: value != (v == flip) for v, value in model.items()},
+                {v: value for v, value in model.items() if rng.random() < 0.7},
+                {v: rng.random() < 0.5 for v in range(1, 12) if rng.random() < 0.8},
+                {},
+            ]
+            for m in models:
+                got = check_model(s, m)
+                assert got == apply_assignment(s, m).is_true, (s, m)
+                verdicts[got] += 1
+        assert min(verdicts.values()) > 400, verdicts
+
 
 class TestTarjanComponents:
     @staticmethod
