@@ -1,6 +1,6 @@
 """Undirected graphs over positive integer vertex ids, plus the operations
 tying sentences to graphs: support extraction, subdivision, restricted edge
-contraction, cycle rank, 2-core, cut vertices, and components.
+contraction, cycle rank, 2-core, cut vertices, blocks, and components.
 
 Graphs are immutable values.  Edges are canonical (u, v) tuples with u < v.
 Edge contraction is only allowed at edges not contained in any triangle, so
@@ -9,7 +9,8 @@ it never creates a parallel edge and simple graphs stay simple.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -68,6 +69,18 @@ class SimpleGraph:
         for u, v in self.edges:
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset[int], edges: frozenset[Edge]) -> SimpleGraph:
+        """A graph from sets that are already canonical, without validating them.
+
+        The caller guarantees positive vertex ids and (u, v) edges with
+        u < v and both ends in the vertex set.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @classmethod
     def of(cls, edges: Iterable[tuple[int, int]], isolated: Iterable[int] = ()) -> SimpleGraph:
@@ -150,18 +163,19 @@ def support_graph(s: Cnf2) -> SimpleGraph:
 
 def _component_of(g: SimpleGraph) -> dict[int, int]:
     """Component number of every vertex, numbered in order of smallest vertex id."""
+    adj = g.adjacency
     label: dict[int, int] = {}
     count = 0
-    for start in sorted(g.vertices):
+    for start in sorted(adj):
         if start in label:
             continue
         label[start] = count
-        queue = deque([start])
-        while queue:
-            for w in g.neighbors(queue.popleft()):
+        todo = [start]
+        while todo:
+            for w in adj[todo.pop()]:
                 if w not in label:
                     label[w] = count
-                    queue.append(w)
+                    todo.append(w)
         count += 1
     return label
 
@@ -181,7 +195,7 @@ def connected_components(g: SimpleGraph) -> list[SimpleGraph]:
         vertices[i].add(v)
     for e in g.edges:
         edges[label[e[0]]].add(e)
-    return [SimpleGraph(frozenset(vs), frozenset(es)) for vs, es in zip(vertices, edges)]
+    return [SimpleGraph._trusted(frozenset(vs), frozenset(es)) for vs, es in zip(vertices, edges)]
 
 
 def cycle_rank(g: SimpleGraph) -> int:
@@ -191,41 +205,43 @@ def cycle_rank(g: SimpleGraph) -> int:
 
 def two_core(g: SimpleGraph) -> SimpleGraph:
     """Maximal subgraph of minimum degree two: delete degree <= 1 vertices to a fixpoint."""
-    alive = set(g.vertices)
-    degrees = {v: g.degree(v) for v in alive}
-    queue = deque(v for v in alive if degrees[v] <= 1)
+    adj = g.adjacency
+    alive = set(adj)
+    degrees = {v: len(ns) for v, ns in adj.items()}
+    queue = [v for v, d in degrees.items() if d <= 1]
     while queue:
-        v = queue.popleft()
+        v = queue.pop()
         if v not in alive:
             continue
         alive.remove(v)
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w in alive:
                 degrees[w] -= 1
                 if degrees[w] <= 1:
                     queue.append(w)
     edges = frozenset(e for e in g.edges if e[0] in alive and e[1] in alive)
-    return SimpleGraph(frozenset(alive), edges)
+    return SimpleGraph._trusted(frozenset(alive), edges)
 
 
 def cut_vertices(g: SimpleGraph) -> set[int]:
     """Vertices whose removal increases the component count (articulation points)."""
+    adj = g.adjacency
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     result: set[int] = set()
-    for root in sorted(g.vertices):
+    for root in sorted(adj):
         if root in disc:
             continue
         # lowlink DFS (Hopcroft-Tarjan 1973); the root is a cut vertex iff it has 2+ DFS children
         root_children = 0
         disc[root] = low[root] = len(disc)
-        stack = [(root, iter(g.neighbors(root)))]
+        stack = [(root, iter(adj[root]))]
         while stack:
             v, nbrs = stack[-1]
             for w in nbrs:
                 if w not in disc:
                     disc[w] = low[w] = len(disc)
-                    stack.append((w, iter(g.neighbors(w))))
+                    stack.append((w, iter(adj[w])))
                     break
                 # the parent edge may lower low[v] only to disc[parent], which the cut test accepts
                 low[v] = min(low[v], disc[w])
@@ -241,6 +257,47 @@ def cut_vertices(g: SimpleGraph) -> set[int]:
         if root_children >= 2:
             result.add(root)
     return result
+
+
+def _blocks(g: SimpleGraph) -> list[list[Edge]]:
+    """Edge lists of the blocks (maximal 2-connected subgraphs and bridges).
+
+    One lowlink DFS with an edge stack (Hopcroft-Tarjan 1973): every edge
+    is pushed once, as (v, w) in the direction the DFS first meets it, and
+    a tree edge (parent, v) with low[v] >= disc[parent] closes the block
+    of the edges pushed from it on.
+    """
+    adj = g.adjacency
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[list[Edge]] = []
+    edges: list[Edge] = []
+    for root in sorted(adj):
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        # a frame holds a vertex, its DFS parent (0 at the root, ids are
+        # positive), its neighbour iterator and where its tree edge sits in edges
+        stack = [(root, 0, iter(adj[root]), 0)]
+        while stack:
+            v, parent, nbrs, at = stack[-1]
+            for w in nbrs:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, v, iter(adj[w]), len(edges)))
+                    edges.append((v, w))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        blocks.append(edges[at:])
+                        del edges[at:]
+    return blocks
 
 
 def is_subgraph(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -298,12 +355,34 @@ def smooth_vertex(g: SimpleGraph, v: int) -> SimpleGraph:
 # text formats
 
 
+# every line blank or two ASCII decimal ids, lines ended by \n or \r\n
+_PLAIN_LINE = r"[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?"
+_PLAIN_EDGELIST = re.compile(rf"(?:{_PLAIN_LINE}\r?\n)*+{_PLAIN_LINE}")
+
+
 def parse_edgelist(text: str) -> SimpleGraph:
     """Parse the edge-list format.
 
     `#` starts a comment, `n <count>` declares vertices 1..count,
     `v <id>` declares an isolated vertex, and `u v` lines declare edges.
+
+    Text made only of `u v` lines and blank lines is read as one token
+    stream; anything else, and every error, goes through the line parser.
     """
+    if _PLAIN_EDGELIST.fullmatch(text):
+        try:
+            ids = list(map(int, text.split()))
+        except ValueError:  # more digits than int() accepts
+            return _parse_edgelist_lines(text)
+        us, vs = ids[0::2], ids[1::2]
+        if min(ids, default=1) >= 1 and all(map(int.__ne__, us, vs)):
+            edges = frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
+            return SimpleGraph._trusted(frozenset(ids), edges)
+    return _parse_edgelist_lines(text)
+
+
+def _parse_edgelist_lines(text: str) -> SimpleGraph:
+    """The line-by-line parser: every form of the format, with line-numbered errors."""
     vertices: set[int] = set()
     edges: set[Edge] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):

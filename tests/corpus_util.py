@@ -34,12 +34,16 @@ from satminors import (
 )
 from satminors.census import formula_at
 from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange
-from satminors.graph import _component_of
+from satminors.graph import _component_of, connected_components, cut_vertices, two_core
 from satminors.minors import (
+    PATTERN_ORDER,
     Embedding,
     HostTooLarge,
     Pattern,
+    Reason,
+    Verdict,
     _simple_paths,
+    find_topological_minor,
     pattern_graph,
 )
 
@@ -344,6 +348,33 @@ def tarjan_components_by_edge_positions(adj: list[list[int]]) -> list[int]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return comp
+
+
+def decide_support_by_search(g: SimpleGraph, cap: int = 64) -> Verdict:
+    """Reference verdict: search every pattern of rank at most the component's, in order."""
+    components = connected_components(g)
+    ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
+    for comp, rank in zip(components, ranks):
+        if rank >= 3 or (rank == 2 and cut_vertices(two_core(comp))):
+            for pattern in PATTERN_ORDER:
+                pg = pattern_graph(pattern)
+                if len(pg.edges) - len(pg.vertices) + 1 > rank:
+                    continue
+                emb = find_topological_minor(comp, pattern, cap=cap)
+                if emb is not None:
+                    return Verdict(True, pattern=pattern, embedding=emb)
+            raise AssertionError(f"no pattern embeds in {comp!r}")
+    if any(r >= 2 for r in ranks):
+        return Verdict(False, reason=Reason.THETA_CORE)
+    if any(r == 1 for r in ranks):
+        return Verdict(False, reason=Reason.UNICYCLIC)
+    return Verdict(False, reason=Reason.FOREST)
+
+
+def ladder(n: int) -> SimpleGraph:
+    """The 2 x n ladder: paths 1..n and n+1..2n joined by the rungs (i, n + i)."""
+    rails = [(i, i + 1) for i in range(1, n)] + [(n + i, n + i + 1) for i in range(1, n)]
+    return SimpleGraph.of(rails + [(i, n + i) for i in range(1, n + 1)])
 
 
 def find_topological_minor_unpruned(

@@ -31,6 +31,7 @@ from satminors import (
     to_dot,
     two_core,
 )
+from satminors import graph as graph_module
 from satminors.formula import ParseError
 from satminors.graph import (
     EdgeAbsent,
@@ -38,6 +39,8 @@ from satminors.graph import (
     MultiEdgePresent,
     NotNontrivial,
     UnitClausePresent,
+    _blocks,
+    _parse_edgelist_lines,
     edge,
 )
 
@@ -347,6 +350,52 @@ class TestLinearTraversals:
         assert seconds < 1.0
 
 
+class TestBlocks:
+    """_blocks against networkx's biconnected components."""
+
+    @staticmethod
+    def assert_matches_networkx(g: SimpleGraph) -> None:
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(g.vertices)
+        expected = {
+            frozenset(edge(*e) for e in b) for b in nx.biconnected_component_edges(nxg)
+        }
+        blocks = _blocks(g)
+        assert sum(map(len, blocks)) == len(g.edges)
+        assert {frozenset(edge(*e) for e in b) for b in blocks} == expected
+
+    def test_acceptance_corpus(self):
+        for g in acceptance_corpus():
+            self.assert_matches_networkx(g)
+
+    def test_random_and_structured_graphs(self):
+        rng = random.Random(20261021)
+        graphs = [random_graph(rng) for _ in range(100)]
+        graphs += [scattered_graph(rng) for _ in range(30)] + [hub_graph(rng) for _ in range(30)]
+        graphs += [fixture_graph(f"hills:{k}") for k in (1, 5)] + [fixture_graph("bowtie")]
+        for g in graphs:
+            self.assert_matches_networkx(g)
+
+    def test_long_path_in_linear_time(self):
+        path = SimpleGraph.of([(i, i + 1) for i in range(1, 10001)])
+        blocks, seconds = timed(lambda: _blocks(path))
+        assert len(blocks) == 10000
+        assert seconds < 1.0
+
+
+class TestTrustedConstruction:
+    """Graphs built internally without validation equal validated ones."""
+
+    def test_components_and_two_core(self):
+        rng = random.Random(20261022)
+        for _ in range(100):
+            g = scattered_graph(rng)
+            for h in connected_components(g) + [two_core(g)]:
+                checked = SimpleGraph(h.vertices, h.edges)
+                assert h == checked and hash(h) == hash(checked)
+                assert h.adjacency == checked.adjacency
+
+
 class TestIsSubgraph:
     def test_examples(self):
         c3 = fixture_graph("c3")
@@ -358,6 +407,18 @@ class TestIsSubgraph:
     def test_labelled_not_isomorphic(self):
         shifted = SimpleGraph.of([(2, 3), (2, 4), (3, 4)])
         assert not is_subgraph(shifted, fixture_graph("c3"))
+
+
+def assert_parsers_agree(text: str) -> None:
+    """parse_edgelist gives the line parser's graph, or its error type and message."""
+    try:
+        expected = _parse_edgelist_lines(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_edgelist(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert parse_edgelist(text) == expected
 
 
 class TestEdgeListFormat:
@@ -387,6 +448,54 @@ class TestEdgeListFormat:
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_edgelist(text)
+        assert_parsers_agree(text)
+
+
+class TestEdgeListFastPath:
+    """The one-pass parser against the line parser it falls back to."""
+
+    @pytest.mark.parametrize("text", [
+        "1 2\r\n2 3\r\n", "1 2\r\n\r\n2 3", "\n\n1 2\n\n", "1 2\n2 3", " \t1\t 2 \t\n",
+        "", "\n", "  \n\t\n", "1 2\r3 4\n", "1 2\r", "1 2\x0c\n", "1 2\x0b3 4\n",
+        "+1 2\n", "1 +2\n", "0 2\n", "2 0\n", "3 3\n", "1 2\n4 4\n", "007 8\n",
+        "1 2 3\n", "1 2 3 4\n", "1 2\t3 4 5 6\r\n", "1\n2 3\n", "2 3\n4\n", "1 2\n3",
+        "-1 2\n", "1 \u0663\n", "\u0661 2\n",
+        "1 2 # c\n", "# only\n", "n 3\n1 2\n", "v 4\n1 2\n", "1 2\nn -1\n",
+        "1" * 5000 + " 2\n", "2 1\n1 2\n",
+    ])
+    def test_edge_cases(self, text):
+        assert_parsers_agree(text)
+
+    def test_round_trip_corpus(self):
+        rng = random.Random(20261023)
+        graphs = [fixture_graph(name) for name in ["butterfly", "bowtie", "k4", "book", "hills:5"]]
+        graphs += [random_graph(rng) for _ in range(100)]
+        graphs += [scattered_graph(rng) for _ in range(20)]
+        for g in graphs:
+            text = edgelist_to_text(g)
+            assert_parsers_agree(text)
+            assert_parsers_agree(text.replace("\n", "\r\n"))
+            assert_parsers_agree(text.rstrip("\n"))
+            assert parse_edgelist(text) == g
+
+    def test_plain_text_takes_one_pass(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError(f"line parser ran on {text!r}")
+
+        monkeypatch.setattr(graph_module, "_parse_edgelist_lines", refuse)
+        assert parse_edgelist("1 2\r\n\r\n 3\t4 ") == SimpleGraph.of([(1, 2), (3, 4)])
+        assert parse_edgelist(" \n") == SimpleGraph.of([])
+        big = SimpleGraph.of([(v // 2, v) for v in range(2, 1501)])
+        assert parse_edgelist(edgelist_to_text(big)) == big
+
+    def test_seeded_mutations(self):
+        # plain edge lists with one line damaged, so that most take the line parser
+        rng = random.Random(20261024)
+        damage = ["", "0", "+1", "1 1", "3", "1 2 3", "1 2 3 4", "\r", "x", "#", "v 9", " \t "]
+        for _ in range(300):
+            lines = [f"{rng.randint(1, 9)} {rng.randint(1, 9)}" for _ in range(rng.randint(0, 6))]
+            lines.insert(rng.randint(0, len(lines)), rng.choice(damage))
+            assert_parsers_agree(rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"]))
 
 
 class TestDot:

@@ -6,7 +6,9 @@ import pytest
 from corpus_util import (
     acceptance_corpus,
     ci_subsample,
+    decide_support_by_search,
     find_topological_minor_unpruned,
+    ladder,
     random_sparse_graph,
     simple_paths_recursive,
 )
@@ -26,7 +28,7 @@ from satminors import (
     verify_embedding,
 )
 from satminors import minors
-from satminors.minors import PATTERN_ORDER, HostTooLarge
+from satminors.minors import PATTERN_ORDER, HostTooLarge, _has_book, _has_k4
 
 
 class TestPatternGraphs:
@@ -292,6 +294,119 @@ class TestPrunedSearch:
         witness = synthesize_witness(g)
         assert time.perf_counter() - start < 0.05
         assert witness is not None
+
+
+def wheel(n: int) -> SimpleGraph:
+    """Hub 1 joined to every vertex of the n-cycle 2..n+1."""
+    rim = list(range(2, n + 2))
+    return SimpleGraph.of([(1, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def prism(n: int) -> SimpleGraph:
+    """The 2 x n ladder closed into two n-cycles."""
+    return SimpleGraph.of(sorted(ladder(n).edges) + [(1, n), (n + 1, 2 * n)])
+
+
+def complete_bipartite_two(n: int) -> SimpleGraph:
+    """K_{2,n}: vertices 1 and 2 joined to each of 3..n+2."""
+    return SimpleGraph.of([(a, v) for a in (1, 2) for v in range(3, n + 3)])
+
+
+def subdivided_books() -> list[SimpleGraph]:
+    """The book with each edge subdivided in turn, then every edge once and twice."""
+    book = fixture_graph("book")
+    graphs = [subdivide_edge(book, e) for e in book.sorted_edges()]
+    for _ in range(2):
+        for e in list(book.sorted_edges()):
+            book = subdivide_edge(book, e)
+        graphs.append(book)
+    return graphs
+
+
+class TestStructuralExistence:
+    """_has_k4 and _has_book answer exactly as the search does."""
+
+    def assert_matches_search(self, graphs) -> tuple[int, int]:
+        k4 = [_has_k4(g) for g in graphs]
+        book = [_has_book(g) for g in graphs]
+        assert k4 == [find_topological_minor(g, Pattern.K4) is not None for g in graphs]
+        assert book == [find_topological_minor(g, Pattern.BOOK) is not None for g in graphs]
+        return sum(k4), sum(book)
+
+    def test_acceptance_corpus(self):
+        k4, book = self.assert_matches_search(acceptance_corpus())
+        assert k4 > 50 and book > 50
+
+    def test_hills_and_ladders(self):
+        graphs = [fixture_graph(f"hills:{k}") for k in range(2, 9)]
+        graphs += [ladder(n) for n in range(3, 9)]
+        assert self.assert_matches_search(graphs) == (0, 0)
+
+    def test_wheels_prisms_and_two_hub_graphs(self):
+        # wheels and prisms hold K4 but, with at most one vertex of degree
+        # 4 or more, no book; K_{2,n} holds the book from n = 4 on but no K4
+        graphs = [wheel(n) for n in range(3, 9)] + [prism(n) for n in range(3, 7)]
+        graphs += [complete_bipartite_two(n) for n in range(2, 7)]
+        assert self.assert_matches_search(graphs) == (10, 3)
+
+    def test_subdivided_books(self):
+        assert self.assert_matches_search(subdivided_books()) == (0, 9)
+
+    def test_random_sparse_graphs(self):
+        # a random tree on 8-12 vertices plus 2-4 chords, every size and chord count alike
+        rng = random.Random(20261019)
+        graphs = [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(100)]
+        k4, book = self.assert_matches_search(graphs)
+        assert k4 > 10 and book > 5
+
+
+class TestSearchOnce:
+    @pytest.mark.parametrize(
+        "name", ["hills:16", "hills:24", "ladder:8"] + [f"book:{i}" for i in range(9)]
+    )
+    def test_one_search_per_verdict(self, monkeypatch, name):
+        head, _, arg = name.partition(":")
+        if head == "ladder":
+            g = ladder(int(arg))
+        elif head == "book":
+            g = subdivided_books()[int(arg)]
+        else:
+            g = fixture_graph(name)
+        calls = []
+        search = minors.find_topological_minor
+
+        def counted(host, pattern, cap=64):
+            calls.append(pattern)
+            return search(host, pattern, cap=cap)
+
+        monkeypatch.setattr(minors, "find_topological_minor", counted)
+        start = time.perf_counter()
+        verdict = decide_support(g)
+        assert time.perf_counter() - start < 0.1
+        assert calls == [verdict.pattern]
+        assert verify_embedding(g, verdict.pattern, verdict.embedding)
+
+    def test_matches_searching_every_pattern(self):
+        # the verdicts, patterns and embeddings of the decider that searched
+        # each pattern in turn
+        rng = random.Random(20261020)
+        graphs = acceptance_corpus() + [fixture_graph(f"hills:{k}") for k in range(2, 7)]
+        graphs += [ladder(n) for n in range(3, 8)] + subdivided_books()
+        graphs += [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(100)]
+        assert [decide_support(g) for g in graphs] == [decide_support_by_search(g) for g in graphs]
+
+    def test_cap_refused_before_any_test(self, monkeypatch):
+        # hills:32 qualifies and has 65 vertices
+        g = fixture_graph("hills:32")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the cap check")
+
+        monkeypatch.setattr(minors, "_MAY_EMBED", dict.fromkeys(PATTERN_ORDER, refuse))
+        monkeypatch.setattr(minors, "find_topological_minor", refuse)
+        with pytest.raises(HostTooLarge):
+            decide_support(g)
+        assert decide_support(fixture_graph("cn:100")).reason is Reason.UNICYCLIC
 
 
 class TestOracleAgreementSmoke:
