@@ -224,38 +224,16 @@ def two_core(g: SimpleGraph) -> SimpleGraph:
 
 
 def cut_vertices(g: SimpleGraph) -> set[int]:
-    """Vertices whose removal increases the component count (articulation points)."""
-    adj = g.adjacency
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    """Vertices whose removal increases the component count (articulation points).
+
+    They are the vertices that lie in two or more blocks.
+    """
+    seen: set[int] = set()
     result: set[int] = set()
-    for root in sorted(adj):
-        if root in disc:
-            continue
-        # lowlink DFS (Hopcroft-Tarjan 1973); the root is a cut vertex iff it has 2+ DFS children
-        root_children = 0
-        disc[root] = low[root] = len(disc)
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, nbrs = stack[-1]
-            for w in nbrs:
-                if w not in disc:
-                    disc[w] = low[w] = len(disc)
-                    stack.append((w, iter(adj[w])))
-                    break
-                # the parent edge may lower low[v] only to disc[parent], which the cut test accepts
-                low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if parent == root:
-                        root_children += 1
-                    elif low[v] >= disc[parent]:
-                        result.add(parent)
-        if root_children >= 2:
-            result.add(root)
+    for block in _blocks(g):
+        ends = {v for e in block for v in e}
+        result |= ends & seen
+        seen |= ends
     return result
 
 
@@ -355,9 +333,10 @@ def smooth_vertex(g: SimpleGraph, v: int) -> SimpleGraph:
 # text formats
 
 
-# every line blank or two ASCII decimal ids, lines ended by \n or \r\n
-_PLAIN_LINE = r"[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?"
-_PLAIN_EDGELIST = re.compile(rf"(?:{_PLAIN_LINE}\r?\n)*+{_PLAIN_LINE}")
+# the start of a line that is neither blank nor two ASCII decimal ids,
+# ended by \n, \r\n or the end of the text; each line is tried on its own,
+# so the scan takes linear time and keeps no state across lines
+_NOT_PLAIN_LINE = re.compile(r"^(?![ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?(?:\r?\n|\Z))", re.M)
 
 
 def parse_edgelist(text: str) -> SimpleGraph:
@@ -369,7 +348,7 @@ def parse_edgelist(text: str) -> SimpleGraph:
     Text made only of `u v` lines and blank lines is read as one token
     stream; anything else, and every error, goes through the line parser.
     """
-    if _PLAIN_EDGELIST.fullmatch(text):
+    if _NOT_PLAIN_LINE.search(text) is None:
         try:
             ids = list(map(int, text.split()))
         except ValueError:  # more digits than int() accepts

@@ -372,16 +372,10 @@ def _disjoint_paths(adj: Mapping[int, list[int]], s: int, t: int, want: int) -> 
     return want
 
 
-def _has_hub(g: SimpleGraph) -> bool:
-    """Whether some vertex has degree 4, as the butterfly's middle vertex needs."""
-    return any(len(ns) >= 4 for ns in g.adjacency.values())
-
-
-# Structural tests run before the search.  Those for K4 and the book are
-# exact; the butterfly's only rules out hosts of maximum degree 3.  The
-# bowtie needs none: a qualifying component holding none of the other
-# three holds it.
-_MAY_EMBED = {Pattern.K4: _has_k4, Pattern.BOOK: _has_book, Pattern.BUTTERFLY: _has_hub}
+# Exact structural tests run before the search.  The butterfly and the
+# bowtie have none: a qualifying component holding neither K4 nor the
+# book is searched for the butterfly, then the bowtie.
+_MAY_EMBED = {Pattern.K4: _has_k4, Pattern.BOOK: _has_book}
 
 
 def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
@@ -391,12 +385,12 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     when the answer is positive, a concrete pattern embedding is produced as
     evidence (first qualifying component, patterns in fixed order).
 
-    Absence is proved by structure, not by search: a pattern is skipped
-    when its test in _MAY_EMBED fails, and the search would have rejected
-    it.  So find_topological_minor runs once when K4 or the book embeds or
-    the host has no vertex of degree 4, and at most twice (a butterfly
-    tried, then the bowtie) otherwise.  A qualifying component above the
-    cap raises HostTooLarge before any test runs.
+    Absence of K4 and the book is proved by structure, not by search: a
+    pattern is skipped when its test in _MAY_EMBED fails, and the search
+    would have rejected it.  So find_topological_minor runs once when K4 or
+    the book embeds, and at most twice (a butterfly tried, then the bowtie)
+    otherwise.  A qualifying component above the cap raises HostTooLarge
+    before any test runs.
     """
     components = connected_components(g)
     # a component is connected, so its cycle rank is |E| - |V| + 1

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -487,6 +488,18 @@ class TestEdgeListFastPath:
         assert parse_edgelist(" \n") == SimpleGraph.of([])
         big = SimpleGraph.of([(v // 2, v) for v in range(2, 1501)])
         assert parse_edgelist(edgelist_to_text(big)) == big
+
+    def test_plain_check_keeps_no_state_per_line(self):
+        # a regex repeating a group over the lines keeps a backtracking frame
+        # per line (about 0.6 kB); the check tries each line on its own
+        text = "12 34\n" * 20000
+        tracemalloc.start()
+        try:
+            assert graph_module._NOT_PLAIN_LINE.search(text) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_seeded_mutations(self):
         # plain edge lists with one line damaged, so that most take the line parser

@@ -376,14 +376,19 @@ class TestSearchOnce:
         search = minors.find_topological_minor
 
         def counted(host, pattern, cap=64):
-            calls.append(pattern)
-            return search(host, pattern, cap=cap)
+            emb = search(host, pattern, cap=cap)
+            calls.append((pattern, emb is not None))
+            return emb
 
         monkeypatch.setattr(minors, "find_topological_minor", counted)
         start = time.perf_counter()
         verdict = decide_support(g)
         assert time.perf_counter() - start < 0.1
-        assert calls == [verdict.pattern]
+        # the ladder's verdict is the bowtie; it has maximum degree 3, so the
+        # butterfly search before it finds no candidate for the degree-4
+        # middle vertex and returns None without routing
+        missed = [(Pattern.BUTTERFLY, False)] if head == "ladder" else []
+        assert calls == missed + [(verdict.pattern, True)]
         assert verify_embedding(g, verdict.pattern, verdict.embedding)
 
     def test_matches_searching_every_pattern(self):
