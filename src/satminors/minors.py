@@ -7,12 +7,17 @@ one of these is a topological minor.  The verdict never searches: a
 connected component qualifies when its cycle rank is at least three, or
 when it is exactly two and the 2-core has a cut vertex (a figure-eight or
 dumbbell core); a 2-connected rank-two core is a theta graph and supports
-only satisfiable sentences.  The evidence comes from one run of a generic
-subdivision-embedding search, which returns a checkable embedding.  Which
-pattern to search for is settled by structure, not by search: K4 embeds
-iff series-parallel reduction leaves something (Duffin 1965), and the book
-iff two vertices of one block are joined by four internally disjoint paths
-(Menger), which a flow of four augmentations decides.
+only satisfiable sentences.  The rank-two shape is read from the degrees
+left after peeling the leaves.  The evidence comes from one run of a
+generic subdivision-embedding search, which returns a checkable embedding.
+Which pattern to search for is settled by structure, not by search: K4
+embeds iff series-parallel reduction leaves something (Duffin 1965), and
+the book iff two vertices of one block are joined by four internally
+disjoint paths (Menger), which a flow of four augmentations decides.
+
+A graph is decided at most once per cap: the verdict is cached on the
+graph instance, the same Verdict object is returned on every later call,
+and a HostTooLarge refusal is not cached.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from .graph import (
     _blocks,
     _component_of,
     connected_components,
-    cut_vertices,
-    cycle_rank,  # not called here; perfbench traces this binding
     edge,
-    two_core,
 )
+
+# not called here; perfbench traces these bindings
+from .graph import cut_vertices, cycle_rank, two_core  # noqa: F401
 
 
 class HostTooLarge(ValueError):
@@ -391,12 +396,29 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     the book embeds, and at most twice (a butterfly tried, then the bowtie)
     otherwise.  A qualifying component above the cap raises HostTooLarge
     before any test runs.
+
+    The verdict is cached on g per cap, so a later call with the same cap,
+    synthesize_witness's included, returns the same Verdict object without
+    deciding again.  HostTooLarge is not cached: a call with a larger cap
+    still decides.
     """
+    # kept in g's __dict__, as cached_property keeps adjacency, so equality,
+    # hash and repr, which read only the fields, never see it
+    verdicts = g.__dict__.setdefault("_verdicts", {})
+    verdict = verdicts.get(cap)
+    if verdict is None:
+        # setdefault: callers racing on one graph all get the first verdict stored
+        verdict = verdicts.setdefault(cap, _decide(g, cap))
+    return verdict
+
+
+def _decide(g: SimpleGraph, cap: int) -> Verdict:
+    """The verdict of decide_support, computed afresh."""
     components = connected_components(g)
     # a component is connected, so its cycle rank is |E| - |V| + 1
     ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
     for comp, rank in zip(components, ranks):
-        if rank >= 3 or (rank == 2 and cut_vertices(two_core(comp))):
+        if rank >= 3 or (rank == 2 and _core_has_cut_vertex(comp)):
             if len(comp.vertices) > cap:
                 raise HostTooLarge(cap, len(comp.vertices))
             for pattern in PATTERN_ORDER:
@@ -416,3 +438,42 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     else:
         reason = Reason.FOREST
     return Verdict(False, reason=reason)
+
+
+def _core_has_cut_vertex(comp: SimpleGraph) -> bool:
+    """Whether the 2-core of a connected graph of cycle rank 2 has a cut vertex.
+
+    Equal to bool(cut_vertices(two_core(comp))), read from degree counts
+    without building the core: leaves are peeled to a fixpoint.  A core of
+    n vertices has n + 1 edges, so its degrees, each at least 2, sum to
+    2n + 2.  So it has one vertex of degree 4, a figure-eight, or two of
+    degree 3 joined by three chains of degree-2 vertices.  Those chains
+    make a theta, with no cut vertex, unless one of them leaves a degree-3
+    vertex and comes back to it, a dumbbell.
+    """
+    adj = comp.adjacency
+    # a peeled vertex has degree 0; the core keeps a cycle, so no core
+    # vertex drops to 0
+    degree = {v: len(ns) for v, ns in adj.items()}
+    leaves = [v for v, d in degree.items() if d == 1]
+    while leaves:
+        v = leaves.pop()
+        degree[v] = 0
+        for w in adj[v]:
+            if degree[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    hubs = [v for v, d in degree.items() if d > 2]
+    if len(hubs) == 1:
+        return True
+    hub = hubs[0]
+    for first in adj[hub]:
+        if not degree[first]:
+            continue
+        prev, v = hub, first
+        while degree[v] == 2:
+            prev, v = v, next(w for w in adj[v] if degree[w] and w != prev)
+        if v == hub:
+            return True
+    return False

@@ -23,7 +23,7 @@ from .graph import (
     is_subgraph,
     support_graph,
 )
-from .minors import Pattern, Verdict, decide_support
+from .minors import Pattern, decide_support
 from .sat import solve
 
 
@@ -190,12 +190,12 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     when it subdivides the path's edge vertex by vertex, walking from the
     lower-numbered endpoint.  The remaining edges of g are filled with
     positive clauses.
+
+    The embedding is decide_support's verdict on g, which is cached on g:
+    after decide_support(g, cap) no search runs again.  The solver check
+    and the support check run on every call.
     """
-    return _witness_from_verdict(g, decide_support(g, cap=cap))
-
-
-def _witness_from_verdict(g: SimpleGraph, verdict: Verdict) -> Cnf2 | None:
-    """The witness of synthesize_witness, built from g's verdict without searching again."""
+    verdict = decide_support(g, cap=cap)
     if not verdict.supports_unsat:
         return None
     assert verdict.pattern is not None and verdict.embedding is not None

@@ -18,6 +18,8 @@ from satminors import (
     Reason,
     SimpleGraph,
     Verdict,
+    connected_components,
+    cut_vertices,
     decide_support,
     find_topological_minor,
     fixture_graph,
@@ -25,10 +27,17 @@ from satminors import (
     subdivide_edge,
     supports_unsat_bruteforce,
     synthesize_witness,
+    two_core,
     verify_embedding,
 )
 from satminors import minors
-from satminors.minors import PATTERN_ORDER, HostTooLarge, _has_book, _has_k4
+from satminors.minors import (
+    PATTERN_ORDER,
+    HostTooLarge,
+    _core_has_cut_vertex,
+    _has_book,
+    _has_k4,
+)
 
 
 class TestPatternGraphs:
@@ -372,6 +381,8 @@ class TestSearchOnce:
             g = subdivided_books()[int(arg)]
         else:
             g = fixture_graph(name)
+        # every g here is built afresh: a verdict cached on a graph an
+        # earlier test decided would skip the searches counted below
         calls = []
         search = minors.find_topological_minor
 
@@ -401,7 +412,8 @@ class TestSearchOnce:
         assert [decide_support(g) for g in graphs] == [decide_support_by_search(g) for g in graphs]
 
     def test_cap_refused_before_any_test(self, monkeypatch):
-        # hills:32 qualifies and has 65 vertices
+        # hills:32 qualifies and has 65 vertices; it and cn:100 are built
+        # afresh, so no verdict cached by an earlier test is read
         g = fixture_graph("hills:32")
 
         def refuse(*args, **kwargs):
@@ -423,3 +435,138 @@ class TestOracleAgreementSmoke:
             assert structural.supports_unsat == supports_unsat_bruteforce(g)
             if structural.supports_unsat:
                 assert verify_embedding(g, structural.pattern, structural.embedding)
+
+
+class TestVerdictCache:
+    """decide_support decides a graph once per cap and keeps the verdict on it.
+
+    Every test builds its graphs afresh, so no verdict cached by an earlier
+    test hides a search.
+    """
+
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        searches = []
+        search = minors.find_topological_minor
+
+        def counted(*args, **kwargs):
+            searches.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(minors, "find_topological_minor", counted)
+        return searches
+
+    def test_witness_reuses_the_verdict(self, monkeypatch):
+        g = fixture_graph("hills:5")
+        searches = self.count_searches(monkeypatch)
+        verdict = decide_support(g)
+        witness = synthesize_witness(g)
+        assert searches == [Pattern.BUTTERFLY]
+        assert verdict.pattern is Pattern.BUTTERFLY and witness is not None
+
+    def test_same_verdict_object_each_time(self):
+        g = fixture_graph("hills:4")
+        assert decide_support(g) is decide_support(g)
+        negative = fixture_graph("cn:9")
+        assert decide_support(negative) is decide_support(negative)
+
+    def test_caps_cached_apart(self, monkeypatch):
+        g = subdivided_books()[0]
+        searches = self.count_searches(monkeypatch)
+        at_64 = decide_support(g)
+        at_100 = decide_support(g, cap=100)
+        assert searches == [Pattern.BOOK, Pattern.BOOK]
+        assert at_64 == at_100 and at_64 is not at_100
+        assert decide_support(g, cap=64) is at_64 and decide_support(g, cap=100) is at_100
+        assert len(searches) == 2
+
+    def test_refusal_not_cached(self):
+        g = fixture_graph("hills:3")  # one qualifying component of 7 vertices
+        for _ in range(2):
+            with pytest.raises(HostTooLarge):
+                decide_support(g, cap=5)
+        verdict = decide_support(g, cap=100)
+        assert verdict.supports_unsat and verify_embedding(g, verdict.pattern, verdict.embedding)
+        with pytest.raises(HostTooLarge):
+            decide_support(g, cap=5)
+
+    def test_equality_hash_and_repr_unchanged(self):
+        g = fixture_graph("hills:3")
+        twin = SimpleGraph.of(sorted(g.edges))
+        before = (hash(g), repr(g))
+        decide_support(g)
+        decide_support(g, cap=100)
+        assert g == twin and twin == g
+        assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+        assert {g: 1}[twin] == 1
+
+
+def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -> SimpleGraph:
+    """A connected cycle-rank-2 graph on n vertices with shuffled labels.
+
+    The 2-core is a figure-eight, a dumbbell whose bar has 1-3 edges, or a
+    theta; "theta-edge" is a theta one of whose three paths is a single
+    edge.  Its cycles and paths have at most n / 4 edges.  Random trees
+    hung on the core fill it up to n vertices, unless trees is false.
+    """
+    size = max(3, n // 4)
+    edges: list[tuple[int, int]] = []
+    count = 0
+
+    def fresh() -> int:
+        nonlocal count
+        count += 1
+        return count
+
+    def path(a: int, b: int, length: int) -> None:
+        vs = [a] + [fresh() for _ in range(length - 1)] + [b]
+        edges.extend(zip(vs, vs[1:]))
+
+    a = fresh()
+    if shape == "figure-eight":
+        path(a, a, rng.randint(3, size))
+        path(a, a, rng.randint(3, size))
+    elif shape == "dumbbell":
+        b = fresh()
+        path(a, a, rng.randint(3, size))
+        path(b, b, rng.randint(3, size))
+        path(a, b, rng.randint(1, 3))
+    else:
+        b = fresh()
+        path(a, b, 1 if shape == "theta-edge" else rng.randint(2, size))
+        path(a, b, rng.randint(2, size))
+        path(a, b, rng.randint(2, size))
+    while trees and count < n:
+        edges.append((rng.randint(1, count), fresh()))
+    labels = rng.sample(range(1, 3 * count + 1), count)
+    return SimpleGraph.of([(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+class TestRankTwoShape:
+    """_core_has_cut_vertex answers as cut_vertices(two_core(c)) does."""
+
+    def test_acceptance_corpus(self):
+        comps = [c for g in acceptance_corpus() for c in connected_components(g)]
+        rank_two = [c for c in comps if len(c.edges) - len(c.vertices) + 1 == 2]
+        got = [_core_has_cut_vertex(c) for c in rank_two]
+        assert got == [bool(cut_vertices(two_core(c))) for c in rank_two]
+        assert sum(got) > 20 and len(got) - sum(got) > 100
+
+    @pytest.mark.parametrize("n", [10, 30, 100, 400, 1500])
+    def test_generated_cores_with_trees(self, n):
+        rng = random.Random(20261021 + n)
+        shapes = {"figure-eight": True, "dumbbell": True, "theta": False, "theta-edge": False}
+        for shape, expected in shapes.items():
+            for _ in range(4):
+                g = rank_two_graph(rng, shape, n)
+                assert len(g.vertices) == n and len(g.edges) == n + 1
+                assert bool(cut_vertices(two_core(g))) is expected, (shape, g)
+                assert _core_has_cut_vertex(g) is expected, (shape, g)
+
+    def test_bare_cores(self):
+        # no trees hung on: every vertex is in the core
+        rng = random.Random(20261022)
+        for shape in ("figure-eight", "dumbbell", "theta", "theta-edge"):
+            for _ in range(10):
+                g = rank_two_graph(rng, shape, 40, trees=False)
+                assert _core_has_cut_vertex(g) == bool(cut_vertices(two_core(g))), (shape, g)
