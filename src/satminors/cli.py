@@ -9,7 +9,6 @@ error, 70 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Sequence
@@ -231,6 +230,8 @@ def _print_embedding(embedding: dict) -> None:
 
 
 def _graph_hash(g: SimpleGraph) -> str:
+    import hashlib  # only census --record needs it; it costs every start-up a few ms
+
     return hashlib.sha256(edgelist_to_text(g).encode()).hexdigest()[:16]
 
 

@@ -14,7 +14,8 @@ replacement of a substitution step.
 
 Building is near-linear: parse_dimacs reads the clause body as one token
 stream (one int() per token, the range checked with min and max, clauses
-cut at the zeros) and looks for line numbers only when it raises; reduce
+cut at the zeros), drops comment lines one by one only when the body holds
+a "c" at all, and looks for line numbers only when it raises; reduce
 takes a pair of plain ints without per-literal coercion; and a sentence
 sorts its clauses once, by an int key.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 # Partial truth assignment, variable index -> value.
@@ -187,7 +188,7 @@ class Cnf2:
         if self.kind is CnfKind.NONTRIVIAL:
             if not self.clauses:
                 raise ValueError("nontrivial sentence needs at least one clause")
-            if not all(isinstance(c, Clause) for c in self.clauses):
+            if not all(map(isinstance, self.clauses, repeat(Clause))):
                 raise TypeError("a sentence holds Clause values only")
             distinct = set(self.clauses)
             ordered = tuple(sorted(distinct, key=_canonical_key(distinct)))
@@ -293,7 +294,8 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
                 if a == b:
                     kept.append(tuple.__new__(Clause, (a,)))
                 elif a != -b:
-                    kept.append(tuple.__new__(Clause, (a, b) if abs(a) < abs(b) else (b, a)))
+                    in_order = (a if a > 0 else -a) < (b if b > 0 else -b)
+                    kept.append(tuple.__new__(Clause, (a, b) if in_order else (b, a)))
                 continue
         lits: list[int] = []
         always_true = False
@@ -459,7 +461,11 @@ def _body_clauses(body: list[str], before: int, nvars: int) -> list[Sequence[int
     it and fails as a token, so errors keep their order in the text; line
     numbers are worked out only when raising.
     """
-    tokens = " ".join([ln for ln in body if not ln.lstrip().startswith("c")]).split()
+    text = " ".join(body)
+    if "c" in text:
+        # a comment line starts with c, so a body without one has none
+        text = " ".join([ln for ln in body if not ln.lstrip().startswith("c")])
+    tokens = text.split()
     try:
         ints = list(map(int, tokens))
     except ValueError:

@@ -355,7 +355,10 @@ def parse_edgelist(text: str) -> SimpleGraph:
             return _parse_edgelist_lines(text)
         us, vs = ids[0::2], ids[1::2]
         if min(ids, default=1) >= 1 and all(map(int.__ne__, us, vs)):
-            edges = frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
+            if all(map(int.__lt__, us, vs)):  # as edgelist_to_text writes them
+                edges = frozenset(zip(us, vs))
+            else:
+                edges = frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
             return SimpleGraph._trusted(frozenset(ids), edges)
     return _parse_edgelist_lines(text)
 

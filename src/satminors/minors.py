@@ -473,7 +473,10 @@ def _core_has_cut_vertex(comp: SimpleGraph) -> bool:
             continue
         prev, v = hub, first
         while degree[v] == 2:
-            prev, v = v, next(w for w in adj[v] if degree[w] and w != prev)
+            for w in adj[v]:
+                if degree[w] and w != prev:
+                    break
+            prev, v = v, w
         if v == hub:
             return True
     return False

@@ -5,11 +5,21 @@ implications equivalent to it, and the sentence is unsatisfiable exactly
 when some variable shares a strongly connected component with its own
 negation.  Models are read off the reverse topological order of the
 components.  Output is deterministic for a fixed input.
+
+The search visits each literal's successors in ascending node order, and
+the models depend on that order.  The implication rows come out sorted
+without a sort: a sentence stores its clauses in canonical order, and
+literal nodes are numbered in the order of the literal codes.  The row of a
+literal y first gets the edges of the clauses (a, -y), whose variable a is
+smaller and which come first, then the unit (-y), then the pairs (-y, b) in
+the order of b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, lt
 
 from .formula import Assignment, Cnf2
 
@@ -45,18 +55,16 @@ def solve(s: Cnf2) -> SolveResult:
         adj[node[-a]].append(node[b])
         if a != b:
             adj[node[-b]].append(node[a])
-    for row in adj:
-        row.sort()
 
     comp = _tarjan_components(adj)
 
-    conflicts = [v for i, v in enumerate(variables) if comp[2 * i] == comp[2 * i + 1]]
-    if conflicts:
-        return SolveResult(False, conflict_var=conflicts[0])
+    pos, neg = comp[0::2], comp[1::2]
+    conflict = next(compress(variables, map(eq, pos, neg)), None)
+    if conflict is not None:
+        return SolveResult(False, conflict_var=conflict)
     # components are numbered in pop order (reverse topological order), so a
     # literal is true when its component closes before its negation's
-    model = {v: comp[2 * i] < comp[2 * i + 1] for i, v in enumerate(variables)}
-    return SolveResult(True, model=model)
+    return SolveResult(True, model=dict(zip(variables, map(lt, pos, neg))))
 
 
 def check_model(s: Cnf2, m: Assignment) -> bool:
@@ -67,14 +75,10 @@ def check_model(s: Cnf2, m: Assignment) -> bool:
     """
     if not s.is_nontrivial:
         return s.is_true
-    for clause in s.clauses:
-        for x in clause:
-            v = abs(x)
-            if v in m and bool(m[v]) == (x > 0):
-                break
-        else:
-            return False
-    return True
+    # the literals the assignment makes true; variables are positive, so a
+    # key below 1 names none
+    true = {v if value else -v for v, value in m.items() if v > 0}
+    return not any(map(true.isdisjoint, s.clauses))
 
 
 def _tarjan_components(adj: list[list[int]]) -> list[int]:
@@ -96,19 +100,23 @@ def _tarjan_components(adj: list[list[int]]) -> list[int]:
         work = [(root, iter(adj[root]))]
         while work:
             v, succ = work[-1]
+            # low[v] stays in a local while v's frame is on top; it is stored
+            # before descending, as the child lowers low[v] when it returns
+            lowv = low[v]
             for w in succ:
                 if index[w] == UNVISITED:
+                    low[v] = lowv
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     work.append((w, iter(adj[w])))
                     break
                 # a visited vertex with no component yet is still on the stack
-                if comp[w] == UNVISITED:
-                    low[v] = min(low[v], index[w])
+                if comp[w] == UNVISITED and index[w] < lowv:
+                    lowv = index[w]
             else:
                 work.pop()
-                if low[v] == index[v]:
+                if lowv == index[v]:
                     while True:
                         w = stack.pop()
                         comp[w] = ncomp
@@ -117,5 +125,6 @@ def _tarjan_components(adj: list[list[int]]) -> list[int]:
                     ncomp += 1
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if lowv < low[parent]:
+                        low[parent] = lowv
     return comp

@@ -19,6 +19,7 @@ from satminors import (
     SimpleGraph,
     SimplifyOutcome,
     SimplifyResult,
+    SolveResult,
     SubstitutionStep,
     apply_assignment,
     base_formula,
@@ -348,6 +349,48 @@ def tarjan_components_by_edge_positions(adj: list[list[int]]) -> list[int]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return comp
+
+
+def solve_with_sorted_rows(s: Cnf2) -> SolveResult:
+    """Reference solve: sorts every implication row, reads model and conflict by index."""
+    if s.is_true:
+        return SolveResult(True, model={})
+    if s.is_false:
+        return SolveResult(False, conflict_var=None)
+    variables = sorted(s.variables())
+    node: dict[int, int] = {}
+    for i, v in enumerate(variables):
+        node[v] = 2 * i
+        node[-v] = 2 * i + 1
+    adj: list[list[int]] = [[] for _ in range(2 * len(variables))]
+    for clause in s.clauses:
+        a = clause[0]
+        b = clause[-1]
+        adj[node[-a]].append(node[b])
+        if a != b:
+            adj[node[-b]].append(node[a])
+    for row in adj:
+        row.sort()
+    comp = tarjan_components_by_edge_positions(adj)
+    conflicts = [v for i, v in enumerate(variables) if comp[2 * i] == comp[2 * i + 1]]
+    if conflicts:
+        return SolveResult(False, conflict_var=conflicts[0])
+    model = {v: comp[2 * i] < comp[2 * i + 1] for i, v in enumerate(variables)}
+    return SolveResult(True, model=model)
+
+
+def check_model_by_literals(s: Cnf2, m) -> bool:
+    """Reference model check: look up each literal's variable, clause by clause."""
+    if not s.is_nontrivial:
+        return s.is_true
+    for clause in s.clauses:
+        for x in clause:
+            v = abs(x)
+            if v in m and bool(m[v]) == (x > 0):
+                break
+        else:
+            return False
+    return True
 
 
 def decide_support_by_search(g: SimpleGraph, cap: int = 64) -> Verdict:

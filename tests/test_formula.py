@@ -351,6 +351,24 @@ class TestParseDimacsMatchesLineReader:
         assert str(err.value) == str(pytest.raises(ParseError, parse_dimacs_by_lines, text).value)
 
 
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\u2028"])
+    def test_bodies_with_and_without_comment_lines(self, brk):
+        # a body holding no c has no comment line to drop; one that holds a c
+        # drops its comment lines, and only those
+        rng = random.Random(20261019)
+        odd = ["c 1 2 0", "  c -1 0", "\tc", "c", "cnf 1 2 0", "1 cnf 0", "p cnf 9 9"]
+        for comments in (False, True, True):
+            for _ in range(60):
+                lines = ["c lead"] * rng.randint(0, 1) + ["p cnf 9 40"]
+                for _ in range(rng.randint(0, 12)):
+                    if comments and rng.random() < 0.3:
+                        lines.append(rng.choice(odd))
+                    lits = [rng.choice([1, -1]) * rng.randint(1, 9) for _ in range(rng.randint(1, 2))]
+                    lines.append(" ".join(map(str, lits)) + " 0")
+                text = brk.join(lines) + rng.choice([brk, ""])
+                assert _outcome(parse_dimacs, text) == _outcome(parse_dimacs_by_lines, text), text
+
+
 class TestDimacsEmission:
     def test_round_trip(self):
         s = Cnf2.from_ints([[2, 3], [-1, -2], [1]])

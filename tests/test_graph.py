@@ -479,6 +479,23 @@ class TestEdgeListFastPath:
             assert_parsers_agree(text.rstrip("\n"))
             assert parse_edgelist(text) == g
 
+    def test_edge_orientations(self):
+        # canonical lines take the zip path, any reversed line the canonicalising one
+        rng = random.Random(20261025)
+        for _ in range(100):
+            g = scattered_graph(rng)
+            edges = g.sorted_edges()
+            one = rng.randrange(len(edges))
+            for flip in (0.0, 1.0, 0.5, None):
+                if flip is None:  # one reversed line
+                    pairs = [(v, u) if i == one else (u, v) for i, (u, v) in enumerate(edges)]
+                else:
+                    pairs = [(v, u) if rng.random() < flip else (u, v) for u, v in edges]
+                text = "".join(f"{a} {b}\n" for a, b in pairs)
+                assert_parsers_agree(text)
+                assert_parsers_agree(text + text[: len(text) // 2])
+                assert parse_edgelist(text).edges == g.edges
+
     def test_plain_text_takes_one_pass(self, monkeypatch):
         def refuse(text):
             raise AssertionError(f"line parser ran on {text!r}")

@@ -5,8 +5,10 @@ import pytest
 
 from corpus_util import (
     brute_force_satisfiable,
+    check_model_by_literals,
     random_cnf,
     random_multigraph_raw,
+    solve_with_sorted_rows,
     tarjan_components_by_edge_positions,
 )
 from test_pinned import _sentence_transcript
@@ -18,6 +20,7 @@ from satminors import (
     check_model,
     eliminate_units,
     reduce,
+    rename_variables,
     solve,
 )
 from satminors import sat
@@ -26,6 +29,19 @@ S1 = Cnf2.from_ints([[1, 2], [-1, 3], [-2, 3], [-3, 4], [-3, 5], [-4, -5]])
 S2 = Cnf2.from_ints([[1, 2], [-1, 3], [-2, 3], [-3, 4], [-4, 5], [-4, 6], [-5, -6]])
 S3 = Cnf2.from_ints([[1, 2], [1, 3], [-1, 4], [-2, -3], [2, -4], [3, -4]])
 S4 = Cnf2.from_ints([[1, 2], [-1, 4], [2, 3], [-2, 4], [-2, 5], [-3, -4], [-4, -5]])
+
+
+def seeded_sentences(seed: int) -> list[Cnf2]:
+    """Sentences with units and repeated pairs; the same with ids scaled by 1000;
+    and the same on a random sparse sample of ids, which reorders their clauses."""
+    rng = random.Random(seed)
+    base = [reduce(random_multigraph_raw(rng, 30, 60)) for _ in range(300)]
+    scaled = [rename_variables(s, {v: 1000 * v for v in s.variables()}) for s in base]
+    shuffled = []
+    for s in base:
+        old = sorted(s.variables())
+        shuffled.append(rename_variables(s, dict(zip(old, rng.sample(range(1, 10**6), len(old))))))
+    return [Cnf2.true(), Cnf2.false()] + base + scaled + shuffled
 
 
 class TestKnownInstances:
@@ -86,6 +102,16 @@ class TestModelContract:
             assert solve(s) == solve(s)
 
 
+class TestSolveMatchesSortedRows:
+    def test_models_and_conflicts_match(self):
+        verdicts = Counter()
+        for s in seeded_sentences(20261021):
+            got = solve(s)
+            assert got == solve_with_sorted_rows(s), s
+            verdicts[got.satisfiable] += 1
+        assert min(verdicts.values()) > 100, verdicts
+
+
 class TestConflictCertificate:
     def _propagates_to_false(self, s: Cnf2, lit: Literal) -> bool:
         extended = reduce([[l for l in c.literals] for c in s.clauses] + [[lit]])
@@ -128,6 +154,33 @@ class TestCheckModel:
         s = Cnf2.from_ints([[1, -2], [2, 3]])
         m = {1: True, 2: True, 3: False}
         assert check_model(s, m) == apply_assignment(s, m).is_true
+
+    def test_matches_per_literal_loop(self):
+        rng = random.Random(20261022)
+        sentences = [Cnf2.true(), Cnf2.false()] + [random_cnf(rng, 10, 25) for _ in range(600)]
+        verdicts = Counter()
+        for s in sentences:
+            variables = sorted(s.variables())
+            model = solve(s).model or {v: rng.random() < 0.5 for v in variables}
+            partial = {v: value for v, value in model.items() if rng.random() < 0.7}
+            # keys below 1 that would satisfy a clause if read as literals
+            below = {-v: not value for v, value in model.items()}
+            below[0] = True
+            models = [
+                model,
+                {v: int(value) for v, value in model.items()},
+                partial,
+                below,
+                {**partial, **below},
+                {**model, **{v: rng.random() < 0.5 for v in range(11, 40)}},
+                {v: rng.choice([0, 1, None, "", "x"]) for v in range(1, 12) if rng.random() < 0.8},
+                {},
+            ]
+            for m in models:
+                got = check_model(s, m)
+                assert got == check_model_by_literals(s, m), (s, m)
+                verdicts[got] += 1
+        assert min(verdicts.values()) > 500, verdicts
 
     def test_matches_apply_assignment_on_seeded_sentences(self):
         rng = random.Random(20261018)
@@ -178,6 +231,14 @@ class TestTarjanComponents:
             assert sat._tarjan_components(adj) == expected
             merged += max(Counter(expected).values()) >= 3
         assert merged > 100
+
+    def test_implication_rows_come_sorted(self, monkeypatch):
+        sentences = seeded_sentences(20261020)
+        graphs = self.implication_graphs(monkeypatch, lambda: [solve(s) for s in sentences])
+        graphs += self.implication_graphs(monkeypatch, _sentence_transcript)
+        rows = [row for adj in graphs for row in adj]
+        assert all(row == sorted(row) for row in rows)
+        assert sum(len(row) >= 3 for row in rows) > 1000
 
     def test_matches_edge_position_oracle_on_pinned_sentences(self, monkeypatch):
         graphs = self.implication_graphs(monkeypatch, _sentence_transcript)
