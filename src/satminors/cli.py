@@ -27,7 +27,7 @@ from .minors import (
 )
 from .sat import solve
 from .simplify import SimplifyResult, to_simple
-from .witness import synthesize_witness, witness_to_dimacs
+from .witness import WitnessError, synthesize_witness, witness_to_dimacs
 
 EXIT_OK = 0
 EXIT_UNSAT = 20
@@ -300,7 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, WitnessError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormulaError as exc:

@@ -5,6 +5,11 @@ contraction, cycle rank, 2-core, cut vertices, blocks, and components.
 Graphs are immutable values.  Edges are canonical (u, v) tuples with u < v.
 Edge contraction is only allowed at edges not contained in any triangle, so
 it never creates a parallel edge and simple graphs stay simple.
+
+A graph builds its neighbour lists once, in no fixed order.  The component
+labelling, two_core and decide_support's leaf peel, whose results do not
+depend on that order, read them as they are; every other pass reads the
+public adjacency, the same lists sorted.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt, ne
 from typing import Iterable, Sequence
 
 from .formula import Cnf2, ParseError
@@ -89,12 +95,17 @@ class SimpleGraph:
         return cls(frozenset(vs), es)
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
+    def _neighbours(self) -> dict[int, list[int]]:
+        """Every vertex's neighbours, in no fixed order."""
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        return nbrs
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        return {v: tuple(sorted(ns)) for v, ns in self._neighbours.items()}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -163,7 +174,7 @@ def support_graph(s: Cnf2) -> SimpleGraph:
 
 def _component_of(g: SimpleGraph) -> dict[int, int]:
     """Component number of every vertex, numbered in order of smallest vertex id."""
-    adj = g.adjacency
+    adj = g._neighbours
     label: dict[int, int] = {}
     count = 0
     for start in sorted(adj):
@@ -205,7 +216,7 @@ def cycle_rank(g: SimpleGraph) -> int:
 
 def two_core(g: SimpleGraph) -> SimpleGraph:
     """Maximal subgraph of minimum degree two: delete degree <= 1 vertices to a fixpoint."""
-    adj = g.adjacency
+    adj = g._neighbours
     alive = set(adj)
     degrees = {v: len(ns) for v, ns in adj.items()}
     queue = [v for v, d in degrees.items() if d <= 1]
@@ -354,12 +365,12 @@ def parse_edgelist(text: str) -> SimpleGraph:
         except ValueError:  # more digits than int() accepts
             return _parse_edgelist_lines(text)
         us, vs = ids[0::2], ids[1::2]
-        if min(ids, default=1) >= 1 and all(map(int.__ne__, us, vs)):
-            if all(map(int.__lt__, us, vs)):  # as edgelist_to_text writes them
-                edges = frozenset(zip(us, vs))
-            else:
+        if min(ids, default=1) >= 1:
+            if all(map(lt, us, vs)):  # as edgelist_to_text writes them
+                return SimpleGraph._trusted(frozenset(ids), frozenset(zip(us, vs)))
+            if all(map(ne, us, vs)):
                 edges = frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
-            return SimpleGraph._trusted(frozenset(ids), edges)
+                return SimpleGraph._trusted(frozenset(ids), edges)
     return _parse_edgelist_lines(text)
 
 

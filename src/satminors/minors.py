@@ -7,13 +7,24 @@ one of these is a topological minor.  The verdict never searches: a
 connected component qualifies when its cycle rank is at least three, or
 when it is exactly two and the 2-core has a cut vertex (a figure-eight or
 dumbbell core); a 2-connected rank-two core is a theta graph and supports
-only satisfiable sentences.  The rank-two shape is read from the degrees
-left after peeling the leaves.  The evidence comes from one run of a
-generic subdivision-embedding search, which returns a checkable embedding.
-Which pattern to search for is settled by structure, not by search: K4
-embeds iff series-parallel reduction leaves something (Duffin 1965), and
-the book iff two vertices of one block are joined by four internally
-disjoint paths (Menger), which a flow of four augmentations decides.
+only satisfiable sentences.
+
+The verdict starts from one leaf peel of the whole graph, which leaves its
+2-core's degrees.  Their excess X = sum(deg - 2) over the core is
+2 * sum(rank - 1) over the core's components, because the degrees sum to
+twice the edges and a component has |E| - |V| = rank - 1.  Peeling a leaf
+keeps its component's rank and a tree vanishes, so those components are
+the graph's components of rank one or more.  X = 0 leaves forests and
+unicyclic graphs; X = 2 one component of rank two beside cycles, whose
+shape the peeled degrees give.  Only a larger X, or a qualifying rank-two
+core, goes on to build the components, test their structure and search.
+
+The evidence comes from one run of a generic subdivision-embedding search,
+which returns a checkable embedding.  Which pattern to search for is
+settled by structure, not by search: K4 embeds iff series-parallel
+reduction leaves something (Duffin 1965), and the book iff two vertices of
+one block are joined by four internally disjoint paths (Menger), which a
+flow of four augmentations decides.
 
 A graph is decided at most once per cap: the verdict is cached on the
 graph instance, the same Verdict object is returned on every later call,
@@ -386,9 +397,11 @@ _MAY_EMBED = {Pattern.K4: _has_k4, Pattern.BOOK: _has_book}
 def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Classify a graph by the sentences it can support.
 
-    Decided per connected component from cycle rank and 2-core shape alone;
-    when the answer is positive, a concrete pattern embedding is produced as
-    evidence (first qualifying component, patterns in fixed order).
+    Decided from cycle rank and 2-core shape alone, by one leaf peel of g
+    or, when its excess is above 2 or a rank-two core qualifies, per
+    component; when the answer is positive, a concrete pattern embedding is
+    produced as evidence (first qualifying component, patterns in fixed
+    order).
 
     Absence of K4 and the book is proved by structure, not by search: a
     pattern is skipped when its test in _MAY_EMBED fails, and the search
@@ -414,11 +427,16 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
 
 def _decide(g: SimpleGraph, cap: int) -> Verdict:
     """The verdict of decide_support, computed afresh."""
-    components = connected_components(g)
-    # a component is connected, so its cycle rank is |E| - |V| + 1
-    ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
-    for comp, rank in zip(components, ranks):
-        if rank >= 3 or (rank == 2 and _core_has_cut_vertex(comp)):
+    degree = _core_degrees(g)
+    excess = sum(d - 2 for d in degree.values() if d)
+    if not excess:
+        return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
+    if excess == 2 and not _core_has_cut_vertex(g, degree):
+        return Verdict(False, reason=Reason.THETA_CORE)
+    for comp in connected_components(g):
+        # a component is connected, so its cycle rank is |E| - |V| + 1
+        rank = len(comp.edges) - len(comp.vertices) + 1
+        if rank >= 3 or (rank == 2 and _core_has_cut_vertex(comp, degree)):
             if len(comp.vertices) > cap:
                 raise HostTooLarge(cap, len(comp.vertices))
             for pattern in PATTERN_ORDER:
@@ -431,49 +449,58 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
             raise AssertionError(
                 f"structural decider found support but no pattern embeds in {comp!r}"
             )
-    if any(r >= 2 for r in ranks):
-        reason = Reason.THETA_CORE
-    elif any(r == 1 for r in ranks):
-        reason = Reason.UNICYCLIC
-    else:
-        reason = Reason.FOREST
-    return Verdict(False, reason=reason)
+    # the excess is at least 2: some component has cycle rank 2 or more
+    return Verdict(False, reason=Reason.THETA_CORE)
 
 
-def _core_has_cut_vertex(comp: SimpleGraph) -> bool:
-    """Whether the 2-core of a connected graph of cycle rank 2 has a cut vertex.
+def _core_degrees(g: SimpleGraph) -> dict[int, int]:
+    """Every vertex's degree in the 2-core of g, 0 for a vertex peeled away.
 
-    Equal to bool(cut_vertices(two_core(comp))), read from degree counts
-    without building the core: leaves are peeled to a fixpoint.  A core of
-    n vertices has n + 1 edges, so its degrees, each at least 2, sum to
-    2n + 2.  So it has one vertex of degree 4, a figure-eight, or two of
-    degree 3 joined by three chains of degree-2 vertices.  Those chains
-    make a theta, with no cut vertex, unless one of them leaves a degree-3
-    vertex and comes back to it, a dumbbell.
+    Leaves are peeled to a fixpoint; a vertex keeps the count of its
+    neighbours still in the graph until it is peeled.
     """
-    adj = comp.adjacency
-    # a peeled vertex has degree 0; the core keeps a cycle, so no core
-    # vertex drops to 0
-    degree = {v: len(ns) for v, ns in adj.items()}
+    nbrs = g._neighbours
+    degree = {v: len(ns) for v, ns in nbrs.items()}
     leaves = [v for v, d in degree.items() if d == 1]
     while leaves:
         v = leaves.pop()
         degree[v] = 0
-        for w in adj[v]:
+        for w in nbrs[v]:
             if degree[w]:
                 degree[w] -= 1
                 if degree[w] == 1:
                     leaves.append(w)
-    hubs = [v for v, d in degree.items() if d > 2]
+    return degree
+
+
+def _core_has_cut_vertex(comp: SimpleGraph, degree: dict[int, int] | None = None) -> bool:
+    """Whether the 2-core of comp has a cut vertex, when its excess is 2.
+
+    comp is a connected graph of cycle rank 2, or a graph whose core is one
+    such component beside cycles, which have no cut vertex.  degree holds
+    the core degrees of comp, or of a graph of which comp is a union of
+    components; comp is peeled when it is not given.  Equal to
+    bool(cut_vertices(two_core(comp))), read from degree counts without
+    building the core.  A rank-2 core of n vertices has n + 1 edges, so
+    its degrees, each at least 2, sum to 2n + 2.  So it has one vertex of
+    degree 4, a figure-eight, or two of degree 3 joined by three chains of
+    degree-2 vertices.  Those chains make a theta, with no cut vertex,
+    unless one of them leaves a degree-3 vertex and comes back to it, a
+    dumbbell.
+    """
+    if degree is None:
+        degree = _core_degrees(comp)
+    hubs = [v for v in comp.vertices if degree[v] > 2]
     if len(hubs) == 1:
         return True
+    nbrs = comp._neighbours
     hub = hubs[0]
-    for first in adj[hub]:
+    for first in nbrs[hub]:
         if not degree[first]:
             continue
         prev, v = hub, first
         while degree[v] == 2:
-            for w in adj[v]:
+            for w in nbrs[v]:
                 if degree[w] and w != prev:
                     break
             prev, v = v, w

@@ -130,14 +130,18 @@ def extend_to_supergraph(s: Cnf2, h: SimpleGraph) -> Cnf2:
             raise NotASubgraph("the sentence's support is not contained in the target graph")
         covered = g.edges
         clauses = list(s.clauses)
+    _refuse_isolated(h)
+    for x, y in sorted(h.edges - covered):
+        clauses.append(Clause.of(x, y))
+    return Cnf2.of(clauses)
+
+
+def _refuse_isolated(h: SimpleGraph) -> None:
     uncovered_vertices = h.vertices - {x for e in h.edges for x in e}
     if uncovered_vertices:
         raise NotASubgraph(
             f"isolated vertices {sorted(uncovered_vertices)} cannot support any clause"
         )
-    for x, y in sorted(h.edges - covered):
-        clauses.append(Clause.of(x, y))
-    return Cnf2.of(clauses)
 
 
 def contract_witness(s: Cnf2, e: Edge, w: int) -> Cnf2:
@@ -189,7 +193,7 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     path's interior vertices.  The chain is the one lift_subdivision gives
     when it subdivides the path's edge vertex by vertex, walking from the
     lower-numbered endpoint.  The remaining edges of g are filled with
-    positive clauses.
+    positive clauses, as extend_to_supergraph fills them.
 
     The embedding is decide_support's verdict on g, which is cached on g:
     after decide_support(g, cap) no search runs again.  The solver check
@@ -221,7 +225,9 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
                 lit = inner
             anchor = inner
         clauses.append(Clause.of(lit, far_lit))
-    s = extend_to_supergraph(Cnf2.of(clauses), g)
+    _refuse_isolated(g)
+    clauses += [Clause.of(x, y) for x, y in g.edges - emb.used_edges()]
+    s = Cnf2.of(clauses)
     result = solve(s)
     if result.satisfiable:
         raise InternalVerificationFailed("synthesized sentence is satisfiable")

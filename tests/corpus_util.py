@@ -43,6 +43,7 @@ from satminors.minors import (
     Pattern,
     Reason,
     Verdict,
+    _MAY_EMBED,
     _simple_paths,
     find_topological_minor,
     pattern_graph,
@@ -412,6 +413,58 @@ def decide_support_by_search(g: SimpleGraph, cap: int = 64) -> Verdict:
     if any(r == 1 for r in ranks):
         return Verdict(False, reason=Reason.UNICYCLIC)
     return Verdict(False, reason=Reason.FOREST)
+
+
+def decide_support_by_components(g: SimpleGraph, cap: int = 64) -> Verdict:
+    """Reference verdict: build every component, then decide each in turn.
+
+    The decider that read the 2-core only component by component; a
+    rank-2 component's shape is read as cut_vertices(two_core(comp)).
+    """
+    components = connected_components(g)
+    ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
+    for comp, rank in zip(components, ranks):
+        if rank >= 3 or (rank == 2 and cut_vertices(two_core(comp))):
+            if len(comp.vertices) > cap:
+                raise HostTooLarge(cap, len(comp.vertices))
+            for pattern in PATTERN_ORDER:
+                may_embed = _MAY_EMBED.get(pattern)
+                if may_embed is not None and not may_embed(comp):
+                    continue
+                emb = find_topological_minor(comp, pattern, cap=cap)
+                if emb is not None:
+                    return Verdict(True, pattern=pattern, embedding=emb)
+            raise AssertionError(f"no pattern embeds in {comp!r}")
+    if any(r >= 2 for r in ranks):
+        return Verdict(False, reason=Reason.THETA_CORE)
+    if any(r == 1 for r in ranks):
+        return Verdict(False, reason=Reason.UNICYCLIC)
+    return Verdict(False, reason=Reason.FOREST)
+
+
+def hung_core_graph(rng: random.Random, core: str, n: int) -> SimpleGraph:
+    """A connected graph on n vertices, ids shuffled, that supports no unsatisfiable sentence.
+
+    core "tree" gives a random recursive tree; "cycle" a cycle of 3 to n / 4
+    vertices and "theta" two hubs joined by three paths of 2 to n / 8 + 1
+    edges, each with random trees hung on to make up n vertices.
+    """
+    edges: list[tuple[int, int]] = []
+    if core == "cycle":
+        k = rng.randint(3, n // 4)
+        edges = [(i, i % k + 1) for i in range(1, k + 1)]
+    elif core == "theta":
+        top = 2
+        for _ in range(3):
+            k = rng.randint(1, n // 8)
+            path = [1, *range(top + 1, top + k + 1), 2]
+            top += k
+            edges += zip(path, path[1:])
+    top = max((v for e in edges for v in e), default=1)
+    edges += [(rng.randrange(1, v), v) for v in range(top + 1, n + 1)]
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    return SimpleGraph.of((ids[u - 1], ids[v - 1]) for u, v in edges)
 
 
 def ladder(n: int) -> SimpleGraph:

@@ -161,6 +161,13 @@ class TestAnalyzeCommand:
         assert searches == once and once
         assert "c var" in capsys.readouterr().out
 
+    def test_witness_with_isolated_vertex_is_a_usage_error(self, capsys, tmp_path):
+        # K4 plus the isolated vertex 9: K4 embeds, but no clause can cover 9
+        path = write(tmp_path, "g.graph", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\nv 9\n")
+        assert run(capsys, "analyze", "--witness", "-", path) == (
+            EXIT_USAGE, "", "usage error: isolated vertices [9] cannot support any clause\n"
+        )
+
     def test_json_report(self, capsys, tmp_path):
         graph_path = write(tmp_path, "g.graph", edgelist_to_text(fixture_graph("book")))
         code, out, _ = run(capsys, "analyze", graph_path, "--json")

@@ -6,8 +6,10 @@ import pytest
 from corpus_util import (
     acceptance_corpus,
     ci_subsample,
+    decide_support_by_components,
     decide_support_by_search,
     find_topological_minor_unpruned,
+    hung_core_graph,
     ladder,
     random_sparse_graph,
     simple_paths_recursive,
@@ -570,3 +572,95 @@ class TestRankTwoShape:
             for _ in range(10):
                 g = rank_two_graph(rng, shape, 40, trees=False)
                 assert _core_has_cut_vertex(g) == bool(cut_vertices(two_core(g))), (shape, g)
+
+
+RANK_TWO_SHAPES = ("figure-eight", "dumbbell", "theta", "theta-edge")
+
+
+def component_mix(rng: random.Random, excess: int) -> SimpleGraph:
+    """A disjoint union, ids shuffled, whose 2-core has the given excess.
+
+    Components of cycle rank 2, 3 and 4 make up the excess, 2 * (rank - 1)
+    each; unicyclic components, trees and isolated vertices go beside them.
+    """
+    parts = []
+    left = excess
+    while left:
+        rank = rng.randint(2, min(4, left // 2 + 1))
+        if rank == 2:
+            parts.append(rank_two_graph(rng, rng.choice(RANK_TWO_SHAPES), rng.randint(6, 20)))
+        else:
+            parts.append(random_sparse_graph(rng, rng.randint(6, 14), rank))
+        left -= 2 * (rank - 1)
+    parts += [random_sparse_graph(rng, rng.randint(3, 12), 1) for _ in range(rng.randint(0, 3))]
+    parts += [random_sparse_graph(rng, rng.randint(2, 8), 0) for _ in range(rng.randint(0, 3))]
+    edges = []
+    top = 0
+    for part in parts:
+        ids = {v: top + i for i, v in enumerate(sorted(part.vertices), start=1)}
+        edges += [(ids[u], ids[v]) for u, v in part.edges]
+        top += len(ids)
+    isolated = rng.randint(0, 3)
+    perm = list(range(1, top + isolated + 1))
+    rng.shuffle(perm)
+    return SimpleGraph.of([(perm[u - 1], perm[v - 1]) for u, v in edges], isolated=perm[top:])
+
+
+def outcome(decide, g: SimpleGraph):
+    """A verdict, or the cap and size of a refusal."""
+    try:
+        return decide(g)
+    except HostTooLarge as exc:
+        return ("refused", exc.cap, exc.size)
+
+
+class TestPeelFirstVerdict:
+    """decide_support, which starts from one leaf peel of the whole graph,
+    against the component-by-component decider it replaced."""
+
+    @staticmethod
+    def assert_matches_components(graphs) -> list:
+        # graphs built afresh, so no verdict cached by an earlier test is read
+        got = [outcome(decide_support, g) for g in graphs]
+        assert got == [outcome(decide_support_by_components, g) for g in graphs]
+        return got
+
+    def test_acceptance_corpus(self):
+        self.assert_matches_components(acceptance_corpus())
+
+    @pytest.mark.parametrize("n", [10, 20, 100, 1500])
+    def test_rank_two_shapes(self, n):
+        rng = random.Random(20261101 + n)
+        graphs = [rank_two_graph(rng, shape, n) for shape in RANK_TWO_SHAPES for _ in range(4)]
+        graphs += [rank_two_graph(rng, shape, 40, trees=False) for shape in RANK_TWO_SHAPES]
+        got = self.assert_matches_components(graphs)
+        assert {v.reason for v in got if isinstance(v, Verdict)} >= {Reason.THETA_CORE}
+
+    @pytest.mark.parametrize("excess", [0, 2, 4, 6])
+    def test_component_mixes(self, excess):
+        rng = random.Random(20261102 + excess)
+        graphs = [component_mix(rng, excess) for _ in range(40)]
+        for g in graphs:
+            core = two_core(g)
+            assert sum(core.degree(v) - 2 for v in core.vertices) == excess
+        got = self.assert_matches_components(graphs)
+        if excess:
+            assert {v.supports_unsat for v in got} == {True, False}
+
+    def test_non_qualifying_graphs_decided_by_the_peel(self, monkeypatch):
+        # neither components nor a sorted adjacency are built on the way
+        rng = random.Random(20261103)
+        reasons = {"tree": Reason.FOREST, "cycle": Reason.UNICYCLIC, "theta": Reason.THETA_CORE}
+        graphs = [hung_core_graph(rng, core, 1500) for core in reasons for _ in range(4)]
+        graphs += [component_mix(rng, 0) for _ in range(10)]
+        graphs += [rank_two_graph(rng, shape, 300) for shape in ("theta", "theta-edge")]
+
+        def refuse(g):
+            raise AssertionError("components were built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(minors, "connected_components", refuse)
+            verdicts = [decide_support(g) for g in graphs]
+        assert not any("adjacency" in g.__dict__ for g in graphs)
+        assert [v.reason for v in verdicts[:12]] == [r for r in reasons.values() for _ in range(4)]
+        assert verdicts == [decide_support_by_components(g) for g in graphs]
