@@ -33,7 +33,7 @@ from satminors import (
     solve,
     substitute,
 )
-from satminors.census import formula_at
+from satminors.census import _slot_layout, formula_at
 from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange
 from satminors.graph import _component_of, connected_components, cut_vertices, two_core
 from satminors.minors import (
@@ -184,6 +184,73 @@ def _count_solver(edges: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, 
         elif first_unsat is None:
             first_unsat = index
     return sat, first_unsat
+
+
+def frontier_dp_sorted(edges: list[tuple[int, int]]) -> tuple[int, int, int | None]:
+    """Reference census: the sorted-order frontier DP that keeps every transition.
+
+    Exact (sat count, unsat count, first unsatisfiable index) over all 4**E
+    vectors; a full backward pass over the stored transitions finds the index.
+    """
+    steps, width = _slot_layout(edges)
+    n_assignments = 1 << width
+    full = (1 << n_assignments) - 1
+    false_at = []
+    for k in range(width):
+        block = (1 << (1 << k)) - 1
+        false_at.append(sum(block << j for j in range(0, n_assignments, 2 << k)))
+    layer = {1: 1}  # before any edge: the empty assignment, one prefix
+    transitions = []
+    unsat = 0
+    for i, (su, sv, entering, leaving) in enumerate(steps):
+        remaining = 4 ** (len(edges) - 1 - i)
+        value_u = (false_at[su], full ^ false_at[su])
+        value_v = (false_at[sv], full ^ false_at[sv])
+        # polarity code c rules out (t_u, t_v) == (c >> 1, c & 1)
+        keeps = [full ^ (value_u[c >> 1] & value_v[c & 1]) for c in range(4)]
+        leave = [(false_at[k], full ^ false_at[k], 1 << k) for k in leaving]
+        children: dict[int, tuple[int, ...]] = {}
+        successor: dict[int, int] = {}
+        for state, count in layer.items():
+            grown = state
+            for k in entering:
+                grown |= grown << (1 << k)
+            kids = []
+            for keep in keeps:
+                kid = grown & keep
+                for false_k, true_k, shift in leave:
+                    kid = (kid & false_k) | ((kid & true_k) >> shift)
+                kids.append(kid)
+                if kid:
+                    successor[kid] = successor.get(kid, 0) + count
+                else:
+                    unsat += count * remaining
+            children[state] = tuple(kids)
+        transitions.append(children)
+        layer = successor
+    sat = sum(layer.values())
+    if not unsat:
+        return sat, unsat, None
+    return sat, unsat, _first_unsat_backward(transitions)
+
+
+def _first_unsat_backward(transitions: list[dict[int, tuple[int, ...]]]) -> int:
+    """The smallest index whose sentence is unsatisfiable; one must exist."""
+    doomed: list[set[int]] = [set()]  # states from which some suffix ends empty
+    for children in reversed(transitions):
+        later = doomed[-1]
+        doomed.append({s for s, kids in children.items() if any(k == 0 or k in later for k in kids)})
+    doomed.reverse()
+    state, index = 1, 0
+    for i, children in enumerate(transitions):
+        for code, kid in enumerate(children[state]):
+            if kid == 0:
+                # every suffix is unsatisfiable; the smallest is all PP
+                return (4 * index + code) * 4 ** (len(transitions) - 1 - i)
+            if kid in doomed[i + 1]:
+                state, index = kid, 4 * index + code
+                break
+    raise AssertionError("census lost its unsatisfiable prefix")
 
 
 def simple_paths_recursive(host: SimpleGraph, start: int, goal: int, blocked: set[int]):

@@ -229,6 +229,12 @@ class TestCensusCommand:
         assert code == EXIT_CAP
         assert "resource cap" in err
 
+    def test_negative_cap_is_a_usage_error(self, capsys, tmp_path):
+        path = write(tmp_path, "b.graph", edgelist_to_text(fixture_graph("butterfly")))
+        code, out, err = run(capsys, "census", path, "--cap", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error:") and "cap must not be negative: -1" in err
+
 
 class TestMinorCommand:
     def test_found(self, capsys, tmp_path):
@@ -255,6 +261,12 @@ class TestMinorCommand:
         assert code == EXIT_CAP
         assert out == ""
         assert "resource cap" in err
+
+    def test_negative_cap_is_a_usage_error(self, capsys, tmp_path):
+        path = write(tmp_path, "k4.graph", edgelist_to_text(fixture_graph("k4")))
+        code, out, err = run(capsys, "minor", "k4", path, "--cap", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error:") and "cap must not be negative: -1" in err
 
     def test_not_found(self, capsys, tmp_path):
         path = write(tmp_path, "h.graph", edgelist_to_text(fixture_graph("k4-e")))

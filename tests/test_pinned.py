@@ -12,6 +12,7 @@ import hashlib
 import random
 
 import satminors
+from corpus_util import ladder
 from satminors import (
     Literal,
     census,
@@ -25,6 +26,7 @@ from satminors import (
     to_simple,
     witness_to_dimacs,
 )
+from satminors.cli import main
 from satminors.fixtures import CONFIG_CODES
 from satminors.formula import BOTTOM, TOP, ClauseTooLong
 
@@ -51,6 +53,24 @@ SENTENCE_SEED = 20261018
 SENTENCE_COUNT = 400
 SENTENCES_DIGEST = "068f939da1a726c0811b99a55d01af567c3540087c672a841773548eb44bf3d7"
 GRAPHS_DIGEST = "01f0574dccadcd267f94d01af63157261eca38e7e1e1da5c0edf5f85729b50b4"
+
+# `census --cap 13` stdout (SHA-256) and `census --cap 13 --record` line on
+# hosts whose sorted edge order is wide, recorded from the sorted-order DP
+# that the reordered count and the lazy first-example search replaced.
+CENSUS_CLI_PINS = {
+    "ladder:5": (
+        "53fdab0de89f41a36815fd661ab5e023ce0d02ac536d8c2677fe99e21fa32627",
+        "921246af27f53b3d 67108864 66764800 344064",
+    ),
+    "config:vvv2": (
+        "1eb3fd8a452baa212b10c8c16682e6900f175cc076504d9a750708eccb0fa61e",
+        "34b726e10323e5b1 262144 256384 5760",
+    ),
+    "config:vve2": (
+        "398b4e487bc93a2f68193a1c44c785d24a17f116a1e8861422637e1e53878d94",
+        "27bc01e884caa25f 65536 64448 1088",
+    ),
+}
 
 
 def _raw_sentence(rng: random.Random) -> list[list]:
@@ -160,3 +180,14 @@ def test_hot_paths_build_no_literal(monkeypatch):
             if s is not None:
                 solve(parse_dimacs(cnf_to_dimacs(s)))
     assert built == []
+
+
+def test_census_cli_outputs_match_pinned(tmp_path, capsys):
+    for name, (stdout_digest, record) in CENSUS_CLI_PINS.items():
+        g = ladder(5) if name == "ladder:5" else fixture_graph(name)
+        path = tmp_path / "host.txt"
+        path.write_text(satminors.edgelist_to_text(g))
+        assert main(["census", str(path), "--cap", "13"]) == 0
+        assert _digest(capsys.readouterr().out) == stdout_digest, name
+        assert main(["census", str(path), "--cap", "13", "--record"]) == 0
+        assert capsys.readouterr().out == record + "\n", name
