@@ -40,10 +40,13 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 from .formula import Clause, Cnf2
-from .graph import SimpleGraph, smooth_vertex
 from .sat import solve
+
+if TYPE_CHECKING:
+    from .graph import SimpleGraph
 
 
 class TooManyEdges(ValueError):
@@ -270,6 +273,8 @@ def is_minimal_unsat_support(g: SimpleGraph, cap: int = 10) -> bool:
     the graph simple) leaves a graph that still supports an unsatisfiable
     sentence.
     """
+    from .graph import SimpleGraph, smooth_vertex  # the census itself never builds a graph
+
     if not supports_unsat_bruteforce(g, cap=cap):
         raise ValueError("graph does not support an unsatisfiable sentence")
     for e in g.sorted_edges():

@@ -9,25 +9,17 @@ error, 70 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .census import TooManyEdges, census
 from .formula import Cnf2, FormulaError, cnf_to_dimacs, parse_dimacs
-from .fixtures import UnknownFixture, fixture_graph, fixture_names
-from .graph import SimpleGraph, edgelist_to_text, parse_edgelist, support_graph, to_dot
-from .minors import (
-    Embedding,
-    HostTooLarge,
-    Pattern,
-    decide_support,
-    find_topological_minor,
-    verify_embedding,
-)
 from .sat import solve
-from .simplify import SimplifyResult, to_simple
-from .witness import WitnessError, synthesize_witness, witness_to_dimacs
+
+# Each handler imports the layers it runs, so a process compiles only those.
+if TYPE_CHECKING:
+    from .graph import SimpleGraph
+    from .minors import Embedding
 
 EXIT_OK = 0
 EXIT_UNSAT = 20
@@ -37,14 +29,15 @@ EXIT_CAP = 70
 
 JSON_FORMAT_VERSION = 1
 
+# alias -> Pattern member name
 _PATTERN_ALIASES = {
-    "k4": Pattern.K4,
-    "book": Pattern.BOOK,
-    "k113": Pattern.BOOK,
-    "butterfly": Pattern.BUTTERFLY,
-    "v-config": Pattern.BUTTERFLY,
-    "bowtie": Pattern.BOWTIE,
-    "p-config": Pattern.BOWTIE,
+    "k4": "K4",
+    "book": "BOOK",
+    "k113": "BOOK",
+    "butterfly": "BUTTERFLY",
+    "v-config": "BUTTERFLY",
+    "bowtie": "BOWTIE",
+    "p-config": "BOWTIE",
 }
 
 
@@ -65,10 +58,14 @@ def _read_input(path: str | None) -> str:
 
 
 def _read_graph(path: str | None) -> SimpleGraph:
+    from .graph import parse_edgelist
+
     return parse_edgelist(_read_input(path))
 
 
 def _sniff_graph_or_cnf(text: str) -> SimpleGraph | Cnf2:
+    from .graph import parse_edgelist
+
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -130,6 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .simplify import SimplifyResult, to_simple
+
     outcome = to_simple(parse_dimacs(_read_input(args.input)))
     label = {
         SimplifyResult.UNSATISFIABLE: "UNSAT",
@@ -157,9 +156,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .graph import support_graph, to_dot
+    from .minors import decide_support
+    from .witness import synthesize_witness, witness_to_dimacs
+
     parsed = _sniff_graph_or_cnf(_read_input(args.input))
     report: dict = {"format_version": JSON_FORMAT_VERSION}
     if isinstance(parsed, Cnf2):
+        from .simplify import SimplifyResult, to_simple
+
         outcome = to_simple(parsed)
         report["simplification"] = outcome.result.value
         if outcome.result is SimplifyResult.UNSATISFIABLE:
@@ -209,6 +214,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _emit_analyze(args, report, witness_text) -> None:
     if args.json:
+        import json
+
         print(json.dumps(report, sort_keys=True))
     else:
         if "simplification" in report:
@@ -242,6 +249,8 @@ def _print_embedding(embedding: dict) -> None:
 def _graph_hash(g: SimpleGraph) -> str:
     import hashlib  # only census --record needs it; it costs every start-up a few ms
 
+    from .graph import edgelist_to_text
+
     return hashlib.sha256(edgelist_to_text(g).encode()).hexdigest()[:16]
 
 
@@ -261,10 +270,14 @@ def _cmd_minor(args: argparse.Namespace) -> int:
     key = args.pattern.strip().lower()
     if key not in _PATTERN_ALIASES:
         raise _UsageError(f"unknown pattern {args.pattern!r}")
-    pattern = _PATTERN_ALIASES[key]
+    from .minors import Pattern, find_topological_minor, verify_embedding
+
+    pattern = Pattern[_PATTERN_ALIASES[key]]
     host = _read_graph(args.input)
     emb = find_topological_minor(host, pattern, cap=args.cap)
     if args.json:
+        import json
+
         payload: dict = {"format_version": JSON_FORMAT_VERSION, "pattern": pattern.value,
                          "found": emb is not None}
         if emb is not None:
@@ -281,6 +294,9 @@ def _cmd_minor(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
+    from .fixtures import UnknownFixture, fixture_graph, fixture_names
+    from .graph import edgelist_to_text
+
     try:
         graph = fixture_graph(args.name)
     except UnknownFixture as exc:
@@ -301,6 +317,16 @@ _HANDLERS = {
 }
 
 
+def _loaded(module: str, name: str) -> tuple[type, ...]:
+    """The exception class `name` of a satminors submodule, if it is loaded.
+
+    A module that was never imported cannot have raised its exception, so
+    main maps it without importing the module.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else (getattr(loaded, name),)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -310,13 +336,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (_UsageError, WitnessError) as exc:
+    except (_UsageError, *_loaded("witness", "WitnessError")) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormulaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (TooManyEdges, HostTooLarge) as exc:
+    except (TooManyEdges, *_loaded("minors", "HostTooLarge")) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:

@@ -18,6 +18,12 @@ class UnknownFixture(ValueError):
     pass
 
 
+# Largest argument of a parametric family: cn:<k> and hills:<n> above it are
+# refused before anything is built.  At the bound a build takes 20-70 ms;
+# cn:10**8 would exhaust memory.
+MAX_FIXTURE_ARG = 10_000
+
+
 def _triangles(*triples: tuple[int, int, int], extra: tuple[tuple[int, int], ...] = ()):
     edges: list[tuple[int, int]] = []
     for a, b, c in triples:
@@ -118,6 +124,9 @@ def fixture_graph(name: str) -> SimpleGraph:
 
 def _int_arg(name: str, arg: str) -> int:
     try:
-        return int(arg)
+        value = int(arg)
     except ValueError:
         raise UnknownFixture(f"bad fixture argument in {name!r}") from None
+    if value > MAX_FIXTURE_ARG:
+        raise UnknownFixture(f"fixture argument in {name!r} exceeds {MAX_FIXTURE_ARG}")
+    return value

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
+import pytest
 
 from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
+from satminors.fixtures import MAX_FIXTURE_ARG, UnknownFixture
 
 S3_DIMACS = "p cnf 4 6\n1 2 0\n1 3 0\n-1 4 0\n-2 -3 0\n2 -4 0\n3 -4 0\n"
 
@@ -328,6 +334,17 @@ class TestFixtureCommand:
         assert code == EXIT_USAGE
         assert "known fixtures" in err
 
+    def test_parametric_families_are_bounded(self, capsys):
+        assert len(fixture_graph(f"cn:{MAX_FIXTURE_ARG}").vertices) == MAX_FIXTURE_ARG
+        assert len(fixture_graph(f"hills:{MAX_FIXTURE_ARG}").edges) == 3 * MAX_FIXTURE_ARG
+        for family in ("cn", "hills"):
+            name = f"{family}:{MAX_FIXTURE_ARG + 1}"
+            with pytest.raises(UnknownFixture, match="exceeds"):
+                fixture_graph(name)
+            code, out, err = run(capsys, "fixture", name)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith(f"error: fixture argument in {name!r} exceeds {MAX_FIXTURE_ARG}\n")
+
 
 class TestUsage:
     def test_missing_command(self, capsys):
@@ -337,3 +354,41 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/path.cnf")
         assert code == EXIT_USAGE
+
+
+class TestFreshProcess:
+    """`python -m satminors.cli` in a new interpreter matches in-process main.
+
+    In-process runs have every module loaded already, so only a fresh
+    process shows a handler missing an import, or an exception main cannot
+    map to its exit code.
+    """
+
+    GRAPH = edgelist_to_text(fixture_graph("butterfly"))
+    ISOLATED = "1 2\n1 3\n2 3\n3 4\n3 5\n4 5\nv 6\n"
+    # (input text or None, argv with FILE where its path goes, exit code)
+    CASES = [
+        ("p cnf 2 2\n1 2 0\n-1 2 0\n", ["solve", "FILE"], EXIT_OK),
+        (S3_DIMACS, ["solve", "FILE"], EXIT_UNSAT),
+        (S3_DIMACS, ["reduce", "FILE"], EXIT_OK),
+        (GRAPH, ["analyze", "FILE", "--witness", "-", "--json"], EXIT_OK),
+        (S3_DIMACS, ["analyze", "FILE"], EXIT_OK),
+        (GRAPH, ["census", "FILE"], EXIT_OK),
+        (GRAPH, ["census", "FILE", "--cap", "2"], EXIT_CAP),
+        (edgelist_to_text(fixture_graph("k4")), ["minor", "k4", "FILE", "--cap", "3"], EXIT_CAP),
+        (None, ["fixture", "config:vvv2"], EXIT_OK),
+        (None, ["fixture", "cn:100000000"], EXIT_USAGE),
+        ("garbage\n", ["solve", "FILE"], EXIT_PARSE),
+        (ISOLATED, ["analyze", "FILE", "--witness"], EXIT_USAGE),
+    ]
+
+    @pytest.mark.parametrize("text, argv, expected", CASES, ids=[" ".join(c[1]) for c in CASES])
+    def test_matches_in_process_main(self, capsys, tmp_path, text, argv, expected):
+        if text is not None:
+            path = write(tmp_path, "input", text)
+            argv = [path if arg == "FILE" else arg for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert proc.returncode == expected
