@@ -13,7 +13,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .census import TooManyEdges, census
-from .formula import Cnf2, FormulaError, cnf_to_dimacs, parse_dimacs
+from .formula import Cnf2, FormulaError, ParseError, cnf_to_dimacs, parse_dimacs
 from .sat import solve
 
 # Each handler imports the layers it runs, so a process compiles only those.
@@ -51,10 +51,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the input file, or of stdin for None or "-", decoded as UTF-8."""
+    try:
+        if path is None or path == "-":
+            # a replaced stdin (io.StringIO) holds text and has no buffer
+            stdin = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, f"input is not valid UTF-8: {exc}") from None
 
 
 def _read_graph(path: str | None) -> SimpleGraph:

@@ -15,9 +15,11 @@ replacement of a substitution step.
 Building is near-linear: parse_dimacs reads the clause body as one token
 stream (one int() per token, the range checked with min and max, clauses
 cut at the zeros), drops comment lines one by one only when the body holds
-a "c" at all, and looks for line numbers only when it raises; reduce
-takes a pair of plain ints without per-literal coercion; and a sentence
-sorts its clauses once, by an int key.
+a "c" at all, and looks for line numbers only when it raises.  A body of
+two-literal clauses becomes a sentence in one loop: each pair gets the int
+sort key of _canonical_key, a dict on that key drops duplicates, and the
+plain keys are sorted with no key function.  Any other body goes through
+reduce, and Cnf2 sorts its clauses by _canonical_key.
 """
 
 from __future__ import annotations
@@ -195,6 +197,14 @@ class Cnf2:
             object.__setattr__(self, "clauses", ordered)
         elif self.clauses:
             raise ValueError(f"{self.kind.value} sentence carries no clauses")
+
+    @classmethod
+    def _trusted(cls, clauses: tuple[Clause, ...]) -> Cnf2:
+        """A nontrivial sentence from distinct clauses in canonical order, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "kind", CnfKind.NONTRIVIAL)
+        object.__setattr__(s, "clauses", clauses)
+        return s
 
     @classmethod
     def true(cls) -> Cnf2:
@@ -451,11 +461,11 @@ def parse_dimacs(text: Union[str, bytes]) -> Cnf2:
         break
     else:
         raise ParseError(0, "missing problem line")
-    return reduce(_body_clauses(lines[lineno:], lineno, nvars))
+    return _body_sentence(lines[lineno:], lineno, nvars)
 
 
-def _body_clauses(body: list[str], before: int, nvars: int) -> list[Sequence[int]]:
-    """The clauses of the lines after the problem line `before`, as int sequences.
+def _body_sentence(body: list[str], before: int, nvars: int) -> Cnf2:
+    """The sentence of the lines after the problem line `before`.
 
     The body is read as one token stream.  A second problem line stays in
     it and fails as a token, so errors keep their order in the text; line
@@ -470,13 +480,15 @@ def _body_clauses(body: list[str], before: int, nvars: int) -> list[Sequence[int
         ints = list(map(int, tokens))
     except ValueError:
         ints = None
-    if ints is None or (ints and max(max(ints), -min(ints)) > nvars):
+    largest = max(max(ints), -min(ints)) if ints else 0
+    if ints is None or largest > nvars:
         raise _token_error(tokens, body, before, nvars)
     if ints and ints[-1] != 0:
         raise ParseError(_token_line(body, before, len(ints) - 1), "clause not terminated by 0")
     if ints.count(0) * 3 == len(ints) and not any(ints[2::3]):
-        # every clause has two literals
-        return list(zip(ints[0::3], ints[1::3]))
+        # every clause has two literals; free the token strings before building
+        del text, tokens
+        return _pair_sentence(ints, largest)
     clauses = []
     i = 0
     while i < len(ints):
@@ -487,7 +499,32 @@ def _body_clauses(body: list[str], before: int, nvars: int) -> list[Sequence[int
             raise ClauseTooLong(f"line {line}: clause has {len(set(clause))} distinct literals")
         clauses.append(clause)
         i = j + 1
-    return clauses
+    return reduce(clauses)
+
+
+def _pair_sentence(ints: list[int], largest: int) -> Cnf2:
+    """The sentence of the body tokens `a b 0 a b 0 ...`, no |literal| above largest.
+
+    One pass keys every pair as _canonical_key does: a literal x is coded
+    2x or 1 - 2x, the smaller code goes first, and a unit `a a` keeps the
+    low half 0.  A pair `a -a` is a tautology and drops out.
+    """
+    width = 1 << (largest.bit_length() + 2)
+    new = tuple.__new__
+    found: dict[int, Clause] = {}
+    for a, b in zip(ints[0::3], ints[1::3]):
+        if a + b:
+            x = a + a if a > 0 else 1 - a - a
+            y = b + b if b > 0 else 1 - b - b
+            if x < y:
+                found[x * width + y] = new(Clause, (a, b))
+            elif y < x:
+                found[y * width + x] = new(Clause, (b, a))
+            else:
+                found[x * width] = new(Clause, (a,))
+    if not found:
+        return Cnf2.true()
+    return Cnf2._trusted(tuple(map(found.__getitem__, sorted(found))))
 
 
 def _token_line(body: list[str], before: int, k: int) -> int:

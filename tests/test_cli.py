@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist
 from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
 from satminors.fixtures import MAX_FIXTURE_ARG, UnknownFixture
+from satminors.formula import ParseError
 
 S3_DIMACS = "p cnf 4 6\n1 2 0\n1 3 0\n-1 4 0\n-2 -3 0\n2 -4 0\n3 -4 0\n"
 
@@ -392,3 +394,47 @@ class TestFreshProcess:
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
         assert proc.returncode == expected
+
+
+class TestNonUtf8Input:
+    """Input that is not UTF-8 is a parse error (65) for every reading command."""
+
+    DIMACS = b"p cnf 2 1\n1 2 0\n\xff\n"
+    GRAPH = b"1 2\n\xff\n"
+    CASES = [
+        (DIMACS, ["solve"]),
+        (DIMACS, ["reduce"]),
+        (DIMACS, ["analyze"]),
+        (GRAPH, ["analyze"]),
+        (GRAPH, ["census"]),
+        (GRAPH, ["minor", "k4"]),
+    ]
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    @pytest.mark.parametrize("data, argv", CASES, ids=[" ".join(c[1]) for c in CASES])
+    def test_fresh_process_exits_65_without_traceback(self, tmp_path, data, argv, via):
+        stdin = data
+        if via == "file":
+            path = tmp_path / "input"
+            path.write_bytes(data)
+            argv, stdin = [*argv, str(path)], None
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv], input=stdin,
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"parse error: line 0: input is not valid UTF-8: ")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_message_matches_parse_dimacs_on_bytes(self, capsys, tmp_path):
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(self.DIMACS)
+        with pytest.raises(ParseError) as exc:
+            parse_dimacs(self.DIMACS)
+        assert run(capsys, "solve", str(path)) == (EXIT_PARSE, "", f"parse error: {exc.value}\n")
+
+    def test_text_stdin_is_read_as_text(self, capsys, monkeypatch):
+        # an io.StringIO stdin has no byte buffer to decode
+        monkeypatch.setattr(sys, "stdin", io.StringIO(S3_DIMACS))
+        code, out, _ = run(capsys, "solve")
+        assert code == EXIT_UNSAT and out.startswith("UNSAT\n")

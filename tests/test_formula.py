@@ -1,15 +1,18 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from corpus_util import parse_dimacs_by_lines
+from satminors import formula
 from satminors.formula import (
     BOTTOM,
     TOP,
     Clause,
     ClauseTooLong,
     Cnf2,
+    CnfKind,
     Literal,
     ParseError,
     SubstitutionStep,
@@ -22,6 +25,7 @@ from satminors.formula import (
     rename_variables,
     substitute,
 )
+from satminors.sat import solve
 
 S1_INTS = [[1, 2], [-1, 3], [-2, 3], [-3, 4], [-3, 5], [-4, -5]]
 
@@ -367,6 +371,140 @@ class TestParseDimacsMatchesLineReader:
                     lines.append(" ".join(map(str, lits)) + " 0")
                 text = brk.join(lines) + rng.choice([brk, ""])
                 assert _outcome(parse_dimacs, text) == _outcome(parse_dimacs_by_lines, text), text
+
+
+def _pair_body(rng: random.Random, ids, comments: bool, brk: str) -> tuple[str, list[tuple[int, int]]]:
+    """Seeded DIMACS text whose clauses all have two literals, and its pairs.
+
+    ids maps a variable 1..n to its DIMACS id.  Pairs repeat (in either
+    order), repeat a literal (a a) or hold a complementary pair (a -a).
+    """
+    n = rng.randint(1, 12)
+    pairs: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 30)):
+        shape = rng.random()
+        a = rng.choice([1, -1]) * rng.randint(1, n)
+        if shape < 0.1:
+            b = a
+        elif shape < 0.2:
+            b = -a
+        elif shape < 0.35 and pairs:
+            a, b = rng.choice(pairs)
+            if rng.random() < 0.5:
+                a, b = b, a
+        else:
+            b = rng.choice([1, -1]) * rng.randint(1, n)
+        pairs.append((a, b))
+    pairs = [(ids(abs(a)) * (1 if a > 0 else -1), ids(abs(b)) * (1 if b > 0 else -1)) for a, b in pairs]
+    lines = [f"p cnf {ids(n)} {len(pairs)}"]
+    for a, b in pairs:
+        if comments and rng.random() < 0.2:
+            lines.append(rng.choice(["c", "c 1 2 0", "  c -1 0"]))
+        # a clause may span lines, and a line may hold several
+        lines.append(f"{a}{rng.choice([' ', brk])}{b} 0" + rng.choice(["", " "]))
+    return brk.join(lines) + rng.choice([brk, ""]), pairs
+
+
+def _assert_same_sentence(got: Cnf2, want: Cnf2) -> None:
+    assert got == want
+    assert repr(got) == repr(want)
+    assert cnf_to_dimacs(got) == cnf_to_dimacs(want)
+    assert solve(got) == solve(want)
+    assert all(type(c) is Clause for c in got.clauses)
+
+
+class TestPairBodies:
+    """A body of two-literal clauses is built in one pass; it matches the general path."""
+
+    @pytest.mark.parametrize("ids", [lambda v: v, lambda v: 1000 * v, lambda v: 2**64 + v],
+                             ids=["plain", "x1000", "above-2**64"])
+    @pytest.mark.parametrize("comments, brk", [(False, "\n"), (True, "\n"), (True, "\r\n")])
+    def test_matches_line_reader_and_reduce(self, ids, comments, brk):
+        rng = random.Random(20261019)
+        kinds = Counter()
+        for _ in range(150):
+            text, pairs = _pair_body(rng, ids, comments, brk)
+            got = parse_dimacs(text)
+            _assert_same_sentence(got, parse_dimacs_by_lines(text))
+            _assert_same_sentence(got, reduce(pairs))
+            kinds[got.kind] += 1
+            kinds["unit"] += any(len(c) == 1 for c in got.clauses)
+        assert kinds[CnfKind.NONTRIVIAL] > 100 and kinds[CnfKind.TRUE] and kinds["unit"], kinds
+
+    def test_repeated_literal_is_a_unit(self):
+        s = parse_dimacs("p cnf 3 3\n-2 -2 0\n3 1 0\n-2 3 0\n")
+        assert repr(s) == "Cnf2(1 3)(-2)(-2 3)"
+        assert s == Cnf2.from_ints([[-2], [1, 3], [-2, 3]])
+
+    def test_pair_in_both_orders_is_one_clause(self):
+        assert repr(parse_dimacs("p cnf 2 3\n2 -1 0\n-1 2 0\n2 -1 0\n")) == "Cnf2(-1 2)"
+
+    def test_tautologies_only_is_the_true_sentence(self):
+        s = parse_dimacs("p cnf 3 4\n1 -1 0\n-3 3 0\nc 2 -2 0\n2 -2 0\n")
+        assert s == Cnf2.true() and repr(s) == "Cnf2<true>"
+
+    def test_sort_key_wider_than_a_machine_word(self):
+        big = 2**70
+        s = parse_dimacs(f"p cnf {big + 1} 3\n{big + 1} -{big} 0\n{big} 1 0\n-1 {big} 0\n")
+        assert s == Cnf2.from_ints([[big + 1, -big], [big, 1], [-1, big]])
+        assert repr(s) == f"Cnf2(1 {big})(-1 {big})(-{big} {big + 1})"
+
+
+class TestPairBodyFastPath:
+    """An all-pairs body never reaches reduce or the per-clause sort key."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the general path was taken")
+
+    def test_all_pairs_bypass_reduce_and_the_sort_key(self, monkeypatch):
+        texts = ["p cnf 3 4\n1 -2 0\n-3 2 0\n2 2 0\n1 -1 0\n", "p cnf 2 1\n1 -1 0\n", "p cnf 0 0\n"]
+        want = [parse_dimacs(text) for text in texts]
+        monkeypatch.setattr(formula, "reduce", self._refuse)
+        monkeypatch.setattr(formula, "_canonical_key", self._refuse)
+        assert [parse_dimacs(text) for text in texts] == want
+        assert repr(want[0]) == "Cnf2(1 -2)(2)(2 -3)" and want[1].is_true and want[2].is_true
+
+    @pytest.mark.parametrize("text", ["p cnf 3 2\n1 -2 0\n3 0\n", "p cnf 3 2\n1 -2 0\n1 1 3 0\n",
+                                      "p cnf 3 2\n1 -2 0\n0\n"])
+    def test_other_bodies_reach_reduce(self, monkeypatch, text):
+        calls = []
+        general = formula.reduce
+        monkeypatch.setattr(formula, "reduce", lambda raw: calls.append(raw) or general(raw))
+        assert parse_dimacs(text) == parse_dimacs_by_lines(text)
+        assert len(calls) == 1
+
+
+class TestReduceArgumentsAreSized:
+    """Every caller under src/ hands reduce a sized clause collection.
+
+    The benchmark's span wrapper takes len() of reduce's first argument.
+    """
+
+    def test_callers(self, monkeypatch):
+        from satminors import census, fixture_graph, synthesize_witness, to_simple
+
+        general = formula.reduce
+        calls = []
+
+        def sized(raw_clauses):
+            calls.append(len(raw_clauses))
+            return general(raw_clauses)
+
+        # a caller may hold reduce under its own name, as the span wrapper finds it
+        for name, module in list(sys.modules.items()):
+            if name == "satminors" or name.startswith("satminors."):
+                for attr, value in list(vars(module).items()):
+                    if value is general:
+                        monkeypatch.setattr(module, attr, sized)
+        pairs = "p cnf 4 3\n1 -2 0\n2 3 0\n-3 -4 0\n"
+        units = "p cnf 4 4\n1 0\n-1 2 0\n-2 3 0\n-3 4 0\n"
+        for text in (pairs, units):
+            to_simple(parse_dimacs(text))
+        assert len(calls) == 1
+        assert synthesize_witness(fixture_graph("hills:3")) is not None
+        assert len(calls) > 1
+        census(fixture_graph("config:pvv"))
 
 
 class TestDimacsEmission:
