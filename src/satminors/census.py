@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from .formula import Clause, Cnf2
+from .formula import Clause, Cnf2, _Value
 from .sat import solve
 
 if TYPE_CHECKING:
@@ -72,17 +71,18 @@ class EdgePolarity(enum.Enum):
         return Clause.of(lit_u, lit_v)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    graph: SimpleGraph
-    total: int
-    sat_count: int
-    unsat_count: int
-    example_unsat: Cnf2 | None
+class CensusReport(_Value):
+    _fields = ("graph", "total", "sat_count", "unsat_count", "example_unsat")
 
-    def __post_init__(self) -> None:
-        assert self.sat_count + self.unsat_count == self.total
-        assert (self.example_unsat is not None) == (self.unsat_count > 0)
+    def __init__(self, graph: SimpleGraph, total: int, sat_count: int, unsat_count: int,
+                 example_unsat: Cnf2 | None) -> None:
+        assert sat_count + unsat_count == total
+        assert (example_unsat is not None) == (unsat_count > 0)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "sat_count", sat_count)
+        object.__setattr__(self, "unsat_count", unsat_count)
+        object.__setattr__(self, "example_unsat", example_unsat)
 
 
 def formula_at(edges: list[tuple[int, int]], index: int) -> Cnf2:

@@ -54,6 +54,9 @@ def _read_input(path: str | None) -> str:
     """The text of the input file, or of stdin for None or "-", decoded as UTF-8."""
     try:
         if path is None or path == "-":
+            if sys.stdin is None:
+                # the interpreter started with file descriptor 0 closed
+                raise _UsageError("stdin is closed; name an input file")
             # a replaced stdin (io.StringIO) holds text and has no buffer
             stdin = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")

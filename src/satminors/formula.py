@@ -20,13 +20,25 @@ two-literal clauses becomes a sentence in one loop: each pair gets the int
 sort key of _canonical_key, a dict on that key drops duplicates, and the
 plain keys are sorted with no key function.  Any other body goes through
 reduce, and Cnf2 sorts its clauses by _canonical_key.
+
+The value types of every layer (Literal, Cnf2 and SubstitutionStep here,
+SimpleGraph, Verdict, SolveResult and the rest elsewhere) are plain classes
+on the base _Value.  Each names its fields once, in _fields, and sets them
+in its own __init__ with object.__setattr__ after checking them.  The base
+compares and hashes a value by the tuple of its fields, as a frozen
+dataclass does, so equal fields give equal values with equal hashes and a
+value of another class is never equal; it prints Name(field=value, ...)
+unless the class has its own __repr__, and it refuses every assignment and
+deletion with AttributeError.  Instances keep a __dict__, so
+cached_property works on them and pickle and copy.deepcopy restore them.
+No process imports dataclasses, which loads inspect, ast and dis.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 # Partial truth assignment, variable index -> value.
@@ -63,12 +75,53 @@ TOP = Const.TOP
 BOTTOM = Const.BOTTOM
 
 
-@dataclass(frozen=True)
-class Literal:
+class _Value:
+    """An immutable value that compares, hashes and prints by its fields.
+
+    A subclass lists its field names in _fields and sets each field in
+    __init__ with object.__setattr__.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the field tuple in one C call, held in a closure, which costs less
+        # per call than looking it up on the class
+        values = attrgetter(*cls._fields)
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Literal(_Value):
     """A variable or its negation.  Variable indices are 1-based."""
 
-    var: int
-    positive: bool = True
+    _fields = ("var", "positive")
+
+    def __init__(self, var: int, positive: bool = True) -> None:
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "positive", positive)
+        # the range check is a method of its own: tests patch it to count
+        # the Literal values a code path builds
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.var < 1:
@@ -174,8 +227,7 @@ class CnfKind(enum.Enum):
     NONTRIVIAL = "nontrivial"
 
 
-@dataclass(frozen=True)
-class Cnf2:
+class Cnf2(_Value):
     """A reduced sentence: constant true, constant false, or a clause set.
 
     In the nontrivial state the clause tuple is nonempty, sorted
@@ -183,20 +235,20 @@ class Cnf2:
     the same clauses in any order compare equal.
     """
 
-    kind: CnfKind
-    clauses: tuple[Clause, ...] = ()
+    _fields = ("kind", "clauses")
 
-    def __post_init__(self) -> None:
-        if self.kind is CnfKind.NONTRIVIAL:
-            if not self.clauses:
+    def __init__(self, kind: CnfKind, clauses: tuple[Clause, ...] = ()) -> None:
+        if kind is CnfKind.NONTRIVIAL:
+            if not clauses:
                 raise ValueError("nontrivial sentence needs at least one clause")
-            if not all(map(isinstance, self.clauses, repeat(Clause))):
+            if not all(map(isinstance, clauses, repeat(Clause))):
                 raise TypeError("a sentence holds Clause values only")
-            distinct = set(self.clauses)
-            ordered = tuple(sorted(distinct, key=_canonical_key(distinct)))
-            object.__setattr__(self, "clauses", ordered)
-        elif self.clauses:
-            raise ValueError(f"{self.kind.value} sentence carries no clauses")
+            distinct = set(clauses)
+            clauses = tuple(sorted(distinct, key=_canonical_key(distinct)))
+        elif clauses:
+            raise ValueError(f"{kind.value} sentence carries no clauses")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "clauses", clauses)
 
     @classmethod
     def _trusted(cls, clauses: tuple[Clause, ...]) -> Cnf2:
@@ -249,18 +301,18 @@ class Cnf2:
         return "Cnf2" + "".join(repr(c) for c in self.clauses)
 
 
-@dataclass(frozen=True)
-class SubstitutionStep:
+class SubstitutionStep(_Value):
     """One variable binding: to a constant or to another variable's literal."""
 
-    target: int
-    replacement: Union[Literal, bool]
+    _fields = ("target", "replacement")
 
-    def __post_init__(self) -> None:
-        if self.target < 1:
+    def __init__(self, target: int, replacement: Union[Literal, bool]) -> None:
+        if target < 1:
             raise ValueError("target must be a variable index")
-        if isinstance(self.replacement, Literal) and self.replacement.var == self.target:
+        if isinstance(replacement, Literal) and replacement.var == target:
             raise ValueError("literal replacement must use a different variable")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "replacement", replacement)
 
     def __repr__(self) -> str:
         if self.replacement is True:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import lt, ne
 from typing import Iterable, Sequence
 
-from .formula import Cnf2, ParseError
+from .formula import Cnf2, ParseError, _Value
 
 Edge = tuple[int, int]
 
@@ -62,19 +61,19 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
+class SimpleGraph(_Value):
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        if self.vertices and min(self.vertices) < 1:
+    def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]) -> None:
+        vertices = frozenset(vertices)
+        if vertices and min(vertices) < 1:
             raise ValueError("vertex ids are positive integers")
-        object.__setattr__(self, "edges", frozenset(edge(*e) for e in self.edges))
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+        edges = frozenset(edge(*e) for e in edges)
+        for u, v in edges:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _trusted(cls, vertices: frozenset[int], edges: frozenset[Edge]) -> SimpleGraph:
@@ -125,19 +124,19 @@ class SimpleGraph:
         return f"SimpleGraph<{vs}|{es}>"
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(_Value):
     """Vertex set plus an edge multiset; no self-loops."""
 
-    vertices: frozenset[int]
-    edges: tuple[Edge, ...]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(sorted(edge(*e) for e in self.edges)))
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+    def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]) -> None:
+        vertices = frozenset(vertices)
+        edges = tuple(sorted(edge(*e) for e in edges))
+        for u, v in edges:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def multiplicities(self) -> Counter[Edge]:
         return Counter(self.edges)

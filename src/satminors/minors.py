@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping
 
+from .formula import _Value
 from .graph import (
     Edge,
     SimpleGraph,
@@ -92,8 +92,7 @@ class Reason(enum.Enum):
     THETA_CORE = "theta-core"
 
 
-@dataclass(frozen=True, eq=True)
-class Embedding:
+class Embedding(_Value):
     """A subdivision of a pattern placed inside a host graph.
 
     branch_map sends pattern vertices to distinct host vertices; paths sends
@@ -102,8 +101,12 @@ class Embedding:
     every branch image.
     """
 
-    branch_map: Mapping[int, int]
-    paths: Mapping[Edge, tuple[int, ...]]
+    _fields = ("branch_map", "paths")
+
+    def __init__(self, branch_map: Mapping[int, int],
+                 paths: Mapping[Edge, tuple[int, ...]]) -> None:
+        object.__setattr__(self, "branch_map", branch_map)
+        object.__setattr__(self, "paths", paths)
 
     def used_edges(self) -> set[Edge]:
         out: set[Edge] = set()
@@ -112,18 +115,21 @@ class Embedding:
         return out
 
 
-@dataclass(frozen=True, eq=True)
-class Verdict:
+class Verdict(_Value):
     """Answer to "can this graph support an unsatisfiable sentence?".
 
     A positive answer carries a pattern and a verified embedding; a negative
     one carries the structural reason.
     """
 
-    supports_unsat: bool
-    pattern: Pattern | None = None
-    embedding: Embedding | None = None
-    reason: Reason | None = None
+    _fields = ("supports_unsat", "pattern", "embedding", "reason")
+
+    def __init__(self, supports_unsat: bool, pattern: Pattern | None = None,
+                 embedding: Embedding | None = None, reason: Reason | None = None) -> None:
+        object.__setattr__(self, "supports_unsat", supports_unsat)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "embedding", embedding)
+        object.__setattr__(self, "reason", reason)
 
 
 def find_topological_minor(

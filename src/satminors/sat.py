@@ -17,21 +17,23 @@ the order of b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq, lt
 
-from .formula import Assignment, Cnf2
+from .formula import Assignment, Cnf2, _Value
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    satisfiable: bool
-    # Total assignment over the sentence's variables when satisfiable.
-    model: Assignment | None = None
-    # A variable whose two polarities share a component when unsatisfiable;
-    # absent for the constant-false sentence, which has no variable to blame.
-    conflict_var: int | None = None
+class SolveResult(_Value):
+    _fields = ("satisfiable", "model", "conflict_var")
+
+    def __init__(self, satisfiable: bool, model: Assignment | None = None,
+                 conflict_var: int | None = None) -> None:
+        object.__setattr__(self, "satisfiable", satisfiable)
+        # Total assignment over the sentence's variables when satisfiable.
+        object.__setattr__(self, "model", model)
+        # A variable whose two polarities share a component when unsatisfiable;
+        # absent for the constant-false sentence, which has no variable to blame.
+        object.__setattr__(self, "conflict_var", conflict_var)
 
 
 def solve(s: Cnf2) -> SolveResult:

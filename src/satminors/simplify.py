@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
@@ -31,6 +30,7 @@ from .formula import (
     SubstitutionStep,
     _clause,
     _pair_clauses,
+    _Value,
     substitute,
 )
 from .sat import check_model
@@ -52,11 +52,13 @@ class SimplifyResult(enum.Enum):
     SIMPLE = "simple"
 
 
-@dataclass(frozen=True)
-class SimplifyOutcome:
-    result: SimplifyResult
-    cnf: Cnf2
-    trace: Trace
+class SimplifyOutcome(_Value):
+    _fields = ("result", "cnf", "trace")
+
+    def __init__(self, result: SimplifyResult, cnf: Cnf2, trace: Trace) -> None:
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "cnf", cnf)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def is_simple(self) -> bool:

@@ -12,9 +12,7 @@ degree-2 variable, and contraction at an edge not contained in a triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import Clause, Cnf2, _pair_clauses, cnf_to_dimacs, rename_variables
+from .formula import Clause, Cnf2, _pair_clauses, _Value, cnf_to_dimacs, rename_variables
 from .graph import (
     Edge,
     EdgeInTriangle,
@@ -51,10 +49,12 @@ class InternalVerificationFailed(RuntimeError):
     """A constructed witness failed its solver check; this is a defect, not an input error."""
 
 
-@dataclass(frozen=True)
-class BaseFormula:
-    pattern: Pattern
-    cnf: Cnf2
+class BaseFormula(_Value):
+    _fields = ("pattern", "cnf")
+
+    def __init__(self, pattern: Pattern, cnf: Cnf2) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "cnf", cnf)
 
 
 _BASE_CLAUSES: dict[Pattern, tuple[tuple[int, int], ...]] = {

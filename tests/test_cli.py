@@ -438,3 +438,23 @@ class TestNonUtf8Input:
         monkeypatch.setattr(sys, "stdin", io.StringIO(S3_DIMACS))
         code, out, _ = run(capsys, "solve")
         assert code == EXIT_UNSAT and out.startswith("UNSAT\n")
+
+
+class TestClosedStdin:
+    """With file descriptor 0 closed, reading stdin is a usage error (64)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["solve", "-"], ["reduce"], ["analyze"], ["analyze", "--witness", "-"],
+        ["census"], ["minor", "k4"],
+    ], ids=" ".join)
+    def test_fresh_process_exits_64_without_traceback(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv], capture_output=True,
+                              env=env, timeout=120, preexec_fn=lambda: os.close(0))
+        # one line on stderr, so no traceback
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_USAGE, b"", b"usage error: stdin is closed; name an input file\n")
+
+    def test_in_process_main_without_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(capsys, "solve") == (EXIT_USAGE, "", "usage error: stdin is closed; name an input file\n")

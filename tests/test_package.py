@@ -31,6 +31,11 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# Prints which of these costly standard-library modules are loaded.
+HEAVY = ("import json, sys\n"
+         "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n")
+
+
 def loaded_by_main(*argv: str) -> set[str]:
     code = f"from satminors.cli import main\nmain({list(argv)!r})\n" + LOADED
     return {m.removeprefix("satminors.") for m in fresh(code)}
@@ -55,6 +60,23 @@ class TestImportFootprint:
         loaded = loaded_by_main("census", str(path))
         assert "graph" in loaded
         assert loaded.isdisjoint({"minors", "witness", "simplify", "fixtures"})
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # importing dataclasses loads inspect, ast and dis: about 10 ms a process
+        assert fresh("import satminors\n" + HEAVY) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "CNF"], ["reduce", "CNF"], ["analyze", "GRAPH", "--witness", "WITNESS"],
+        ["census", "GRAPH"], ["minor", "butterfly", "GRAPH"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_load_no_dataclasses_or_inspect(self, tmp_path, argv):
+        paths = {"CNF": tmp_path / "s.cnf", "GRAPH": tmp_path / "b.graph",
+                 "WITNESS": tmp_path / "w.cnf"}
+        paths["CNF"].write_text("p cnf 3 3\n1 2 0\n-1 2 0\n-2 3 0\n")
+        paths["GRAPH"].write_text("1 2\n1 3\n2 3\n3 4\n3 5\n4 5\n")
+        argv = [str(paths[a]) if a in paths else a for a in argv]
+        code = f"from satminors.cli import main\nassert main({argv!r}) == 0\n" + HEAVY
+        assert fresh(code) == []
 
 
 class TestNamespace:
