@@ -76,8 +76,10 @@ class CensusReport(_Value):
 
     def __init__(self, graph: SimpleGraph, total: int, sat_count: int, unsat_count: int,
                  example_unsat: Cnf2 | None) -> None:
-        assert sat_count + unsat_count == total
-        assert (example_unsat is not None) == (unsat_count > 0)
+        if sat_count + unsat_count != total:
+            raise ValueError(f"sat {sat_count} and unsat {unsat_count} do not add up to {total}")
+        if (example_unsat is not None) != (unsat_count > 0):
+            raise ValueError("an unsat example is given iff the unsat count is positive")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "sat_count", sat_count)

@@ -3,7 +3,7 @@
 Subcommands: reduce, solve, analyze, census, minor, fixture.  Inputs are
 DIMACS CNF or edge-list text from a file argument or stdin.  Exit codes
 are stable: 0 ok/satisfiable, 20 unsatisfiable, 64 usage error, 65 parse
-error, 70 resource cap exceeded.
+error, 70 resource cap exceeded or an internal check failed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_UNSAT = 20
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_CAP = 70
+EXIT_INTERNAL = 70
 
 JSON_FORMAT_VERSION = 1
 
@@ -43,6 +44,16 @@ _PATTERN_ALIASES = {
 
 class _UsageError(Exception):
     pass
+
+
+class _InternalError(RuntimeError):
+    pass
+
+
+def _check(ok: object, what: str) -> None:
+    """Raise _InternalError unless ok; unlike assert, it also runs under -O."""
+    if not ok:
+        raise _InternalError(what)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,8 +164,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(parse_dimacs(_read_input(args.input)))
     if result.satisfiable:
+        _check(result.model is not None, "a satisfiable result carries no model")
         print("SAT")
-        assert result.model is not None
         lits = [v if result.model[v] else -v for v in sorted(result.model)]
         print("v " + " ".join(str(l) for l in lits + [0]))
         return EXIT_OK
@@ -191,16 +202,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = decide_support(graph)
     witness_text = None
     if verdict.supports_unsat:
-        assert verdict.pattern is not None and verdict.embedding is not None
+        _check(verdict.pattern is not None and verdict.embedding is not None,
+               "a positive verdict carries no embedding")
         report["verdict"] = "supports-unsat"
         report["pattern"] = verdict.pattern.value
         report["embedding"] = _embedding_json(verdict.embedding)
         if args.witness is not None:
             witness = synthesize_witness(graph)
-            assert witness is not None
+            _check(witness is not None, "a positive verdict has no witness")
             witness_text = witness_to_dimacs(witness)
     else:
-        assert verdict.reason is not None
+        _check(verdict.reason is not None, "a negative verdict carries no reason")
         report["verdict"] = "only-satisfiable"
         report["reason"] = verdict.reason.value
         if args.witness is not None:
@@ -296,7 +308,7 @@ def _cmd_minor(args: argparse.Namespace) -> int:
     if emb is None:
         print("NOT-FOUND")
         return EXIT_OK
-    assert verify_embedding(host, pattern, emb)
+    _check(verify_embedding(host, pattern, emb), "the embedding found fails verification")
     print(f"FOUND {pattern.value}")
     _print_embedding(_embedding_json(emb))
     return EXIT_OK
@@ -354,6 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TooManyEdges, *_loaded("minors", "HostTooLarge")) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (_InternalError, *_loaded("witness", "InternalVerificationFailed")) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE

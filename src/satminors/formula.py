@@ -248,7 +248,8 @@ class Cnf2(_Value):
         elif clauses:
             raise ValueError(f"{kind.value} sentence carries no clauses")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "clauses", clauses)
+        # a constant keeps (), whatever empty value it was given
+        object.__setattr__(self, "clauses", clauses or ())
 
     @classmethod
     def _trusted(cls, clauses: tuple[Clause, ...]) -> Cnf2:

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Mapping
+from functools import cache
+from typing import Mapping, Sequence
 
 from .formula import _Value
 from .graph import (
@@ -92,21 +93,40 @@ class Reason(enum.Enum):
     THETA_CORE = "theta-core"
 
 
+class _FrozenDict(dict):
+    """A dict that refuses every change; it hashes by its items.
+
+    Its repr, == and JSON form are a dict's, and pickle and deepcopy
+    rebuild it from a plain dict.
+    """
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an embedding is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _FrozenDict, (dict(self),)
+
+
 class Embedding(_Value):
     """A subdivision of a pattern placed inside a host graph.
 
     branch_map sends pattern vertices to distinct host vertices; paths sends
     each pattern edge (u, v), u < v, to a host path from branch_map[u] to
     branch_map[v].  Paths are internally disjoint from each other and from
-    every branch image.
+    every branch image.  Both are read-only copies, each path a tuple.
     """
 
     _fields = ("branch_map", "paths")
 
     def __init__(self, branch_map: Mapping[int, int],
                  paths: Mapping[Edge, tuple[int, ...]]) -> None:
-        object.__setattr__(self, "branch_map", branch_map)
-        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "branch_map", _FrozenDict(branch_map))
+        object.__setattr__(self, "paths", _FrozenDict({e: tuple(p) for e, p in paths.items()}))
 
     def used_edges(self) -> set[Edge]:
         out: set[Edge] = set()
@@ -152,39 +172,32 @@ def find_topological_minor(
     embedding.  The first two placements route nothing: two branch images
     in one component block no vertex between them, so their edge always
     routes.
+
+    The placement order, the pattern degrees and the edge lists routed at
+    each placement are built once per pattern, on its first search.
     """
     if len(host.vertices) > cap:
         raise HostTooLarge(cap, len(host.vertices))
-    pg = pattern_graph(pattern)
-    if len(host.vertices) < len(pg.vertices) or len(host.edges) < len(pg.edges):
+    order, needs, prefix, n_edges = _plan(pattern)
+    adj = host.adjacency
+    if len(adj) < len(order) or len(host.edges) < n_edges:
+        return None
+    hosts = sorted(adj)
+    by_need = {d: [hv for hv in hosts if len(adj[hv]) >= d] for d in set(needs)}
+    candidates = [by_need[d] for d in needs]
+    if not all(candidates):
         return None
 
     comp_of = _component_of(host)
-    pattern_vertices = sorted(pg.vertices, key=lambda v: (-pg.degree(v), v))
-    pattern_edges = pg.sorted_edges()
-    # prefix[i]: the pattern edges among the first i + 1 placed vertices
-    prefix = [
-        [e for e in pattern_edges if set(e) <= set(pattern_vertices[: i + 1])]
-        for i in range(len(pattern_vertices))
-    ]
-    last = len(pattern_vertices) - 1
-    candidates = {
-        pv: [hv for hv in sorted(host.vertices) if host.degree(hv) >= pg.degree(pv)]
-        for pv in pattern_vertices
-    }
-    if any(not c for c in candidates.values()):
-        return None
-
+    last = len(order) - 1
     branch: dict[int, int] = {}
     taken: set[int] = set()
 
     def assign(i: int) -> Embedding | None:
-        pv = pattern_vertices[i]
-        home = comp_of[branch[pattern_vertices[0]]] if i else None
-        for hv in candidates[pv]:
-            if hv in taken:
-                continue
-            if home is not None and comp_of[hv] != home:
+        pv = order[i]
+        home = comp_of[branch[order[0]]] if i else None
+        for hv in candidates[i]:
+            if hv in taken or (home is not None and comp_of[hv] != home):
                 continue
             branch[pv] = hv
             taken.add(hv)
@@ -193,7 +206,7 @@ def find_topological_minor(
             routed = _route_paths(host, prefix[i], branch) if i > 1 else {}
             if routed is not None:
                 if i == last:
-                    return Embedding(dict(branch), routed)
+                    return Embedding(branch, routed)
                 found = assign(i + 1)
                 if found is not None:
                     return found
@@ -204,45 +217,73 @@ def find_topological_minor(
     return assign(0)
 
 
+@cache
+def _plan(
+    pattern: Pattern,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[Edge, ...], ...], int]:
+    """A pattern's placement order, each placed vertex's degree, the sorted
+    pattern edges among the first i + 1 placed vertices, and the edge count.
+
+    Vertices are placed by falling degree, then by label.  Every part is a
+    tuple, as every search shares them.
+    """
+    pg = pattern_graph(pattern)
+    order = tuple(sorted(pg.vertices, key=lambda v: (-pg.degree(v), v)))
+    edges = pg.sorted_edges()
+    prefix = tuple(
+        tuple(e for e in edges if set(e) <= set(order[: i + 1])) for i in range(len(order))
+    )
+    return order, tuple(pg.degree(v) for v in order), prefix, len(edges)
+
+
 def _route_paths(
-    host: SimpleGraph, edges: list[Edge], branch: Mapping[int, int]
+    host: SimpleGraph, edges: Sequence[Edge], branch: Mapping[int, int]
 ) -> dict[Edge, tuple[int, ...]] | None:
     """Find internally disjoint host paths realizing the given pattern edges.
 
-    The paths avoid every branch image but their own two ends.
+    The paths avoid every branch image but their own two ends.  edges comes
+    sorted, so of the edges tied for most constrained the first is routed,
+    which is the least of them.
     """
-    branch_images = set(branch.values())
-    internals: set[int] = set()
+    adj = host.adjacency
+    # every branch image and placed path vertex; a path search may pass it
+    # whole, as it never steps onto its start and meets its goal first
+    blocked = set(branch.values())
     placed: dict[Edge, tuple[int, ...]] = {}
 
     # free[b]: neighbours of branch image b that no placed path runs through
-    free = {b: host.degree(b) for b in branch_images}
+    free = {b: len(adj[b]) for b in blocked}
 
-    def claim(inner: list[int], step: int) -> None:
-        for x in inner:
-            for w in host.neighbors(x):
-                if w in free:
-                    free[w] += step
-
-    def constraint(e: Edge) -> tuple[int, Edge]:
-        return (min(free[branch[e[0]]], free[branch[e[1]]]), e)
-
-    def route(remaining: list[Edge]) -> bool:
+    def route(remaining: Sequence[Edge]) -> bool:
         if not remaining:
             return True
-        e = min(remaining, key=constraint) if len(remaining) > 1 else remaining[0]
+        # the most constrained edge: fewest free neighbours at either end
+        e = remaining[0]
+        if len(remaining) > 1:
+            least = len(adj)
+            for x in remaining:
+                a, b = free[branch[x[0]]], free[branch[x[1]]]
+                a = a if a < b else b
+                if a < least:
+                    e, least = x, a
         rest = [x for x in remaining if x != e]
-        start, goal = branch[e[0]], branch[e[1]]
-        blocked = (branch_images - {start, goal}) | internals
-        for path in _simple_paths(host, start, goal, blocked):
+        # the paths this search yields stay valid: what the recursion below
+        # adds to blocked, it removes before the search resumes
+        for path in _simple_paths(host, branch[e[0]], branch[e[1]], blocked):
             inner = path[1:-1]
-            internals.update(inner)
-            claim(inner, -1)
-            placed[e] = tuple(path)
+            blocked.update(inner)
+            for x in inner:
+                for w in adj[x]:
+                    if w in free:
+                        free[w] -= 1
+            placed[e] = path
             if route(rest):
                 return True
-            internals.difference_update(inner)
-            claim(inner, 1)
+            blocked.difference_update(inner)
+            for x in inner:
+                for w in adj[x]:
+                    if w in free:
+                        free[w] += 1
             del placed[e]
         return False
 
@@ -252,22 +293,23 @@ def _route_paths(
 
 
 def _simple_paths(host: SimpleGraph, start: int, goal: int, blocked: set[int]):
-    """Yield simple start-goal paths avoiding blocked vertices, in DFS order.
+    """Yield simple start-goal paths avoiding blocked vertices, in DFS order, as tuples.
 
-    Iterative, with one neighbour iterator per path vertex, so a path may
-    be as long as the host.
+    start and goal may be in blocked.  Iterative, with one neighbour
+    iterator per path vertex, so a path may be as long as the host.
     """
+    adj = host.adjacency
     path = [start]
     on_path = {start}
-    pending = [iter(host.neighbors(start))]
+    pending = [iter(adj[start])]
     while pending:
         for w in pending[-1]:
             if w == goal:
-                yield path + [goal]
+                yield (*path, goal)
             elif w not in blocked and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                pending.append(iter(host.neighbors(w)))
+                pending.append(iter(adj[w]))
                 break
         else:
             pending.pop()

@@ -202,7 +202,8 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     verdict = decide_support(g, cap=cap)
     if not verdict.supports_unsat:
         return None
-    assert verdict.pattern is not None and verdict.embedding is not None
+    if verdict.pattern is None or verdict.embedding is None:
+        raise InternalVerificationFailed("a positive verdict carries no embedding")
     emb = verdict.embedding
     branch = emb.branch_map
     clauses: list[Clause] = []

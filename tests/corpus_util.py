@@ -143,6 +143,22 @@ def random_sparse_graph(rng: random.Random, n: int, chords: int) -> SimpleGraph:
     return SimpleGraph.of((ids[u - 1], ids[v - 1]) for u, v in edges)
 
 
+def random_subdivision(rng: random.Random, base: list[tuple[int, int]], n: int) -> SimpleGraph:
+    """The graph on 1..k given by base edges, each subdivided a random number of
+    times, with n vertices in all and the vertex ids shuffled."""
+    k = max(v for e in base for v in e)
+    splits = Counter(rng.randrange(len(base)) for _ in range(n - k))
+    edges = []
+    top = k
+    for i, (u, v) in enumerate(base):
+        path = [u, *range(top + 1, top + splits[i] + 1), v]
+        top += splits[i]
+        edges += zip(path, path[1:])
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    return SimpleGraph.of((ids[u - 1], ids[v - 1]) for u, v in edges)
+
+
 def random_multigraph_raw(rng: random.Random, max_vars: int = 8, max_clauses: int = 20):
     """Raw clause lists whose support is a multigraph: repeated pairs and units."""
     nv = rng.randint(1, max_vars)

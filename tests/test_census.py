@@ -165,7 +165,7 @@ class TestCensus:
 
     def test_report_invariants_enforced(self):
         g = fixture_graph("c3")
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="do not add up"):
             CensusReport(g, 64, 63, 0, None)
 
 

@@ -12,6 +12,7 @@ from corpus_util import (
     hung_core_graph,
     ladder,
     random_sparse_graph,
+    random_subdivision,
     simple_paths_recursive,
 )
 from satminors import (
@@ -263,6 +264,24 @@ class TestPrunedSearch:
         rng = random.Random(20261018)
         graphs = [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(100)]
         assert assert_matches_unpruned(graphs) > 100
+
+    def test_matches_unpruned_oracle_on_figure_eights(self):
+        # the search analyze runs longest on: the butterfly in two 16- or 18-cycles
+        assert assert_matches_unpruned([figure_eight(16), figure_eight(18)]) == 2
+
+    def test_matches_unpruned_oracle_on_subdivided_k4_and_books(self):
+        # K4 and the book with 30 vertices in all, subdivided at random: the
+        # searches analyze runs on them.  The butterfly and bowtie are left
+        # out, as the oracle takes minutes to rule them out at this size
+        rng = random.Random(20261019)
+        graphs = [random_subdivision(rng, sorted(fixture_graph(name).edges), 30)
+                  for name in ("k4", "book") for _ in range(4)]
+        patterns = (Pattern.K4, Pattern.BOOK)
+        found = [[find_topological_minor(g, p) for p in patterns] for g in graphs]
+        assert found == [[find_topological_minor_unpruned(g, p) for p in patterns] for g in graphs]
+        # each holds its own pattern and not the other
+        held = [[e is not None for e in row] for row in found]
+        assert held == [[True, False]] * 4 + [[False, True]] * 4
 
     def test_routes_the_edge_with_fewest_free_neighbours_first(self):
         # routing the butterfly here takes subdivided paths, so the free

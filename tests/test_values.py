@@ -8,6 +8,7 @@ reject what they always rejected.
 """
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -157,9 +158,10 @@ def test_graph_round_trip_still_decides(decided_first):
     (lambda: SimpleGraph({1, 2}, [(1, 1)]), ValueError, "self-loop at 1"),
     (lambda: Multigraph({1}, [(1, 2)]), ValueError,
      r"edge \(1, 2\) has an endpoint outside the vertex set"),
-    (lambda: CensusReport(SimpleGraph.of([(1, 2)]), 4, 3, 0, None), AssertionError, None),
+    (lambda: CensusReport(SimpleGraph.of([(1, 2)]), 4, 3, 0, None), ValueError,
+     "sat 3 and unsat 0 do not add up to 4"),
     (lambda: CensusReport(SimpleGraph.of([(1, 2)]), 4, 4, 0, Cnf2.from_ints([[1]])),
-     AssertionError, None),
+     ValueError, "an unsat example is given iff the unsat count is positive"),
 ])
 def test_constructor_errors(make, error, message):
     with pytest.raises(error, match=message):
@@ -174,3 +176,48 @@ def test_constructors_normalise_their_fields():
     assert type(g.vertices) is frozenset and type(g.edges) is frozenset
     m = Multigraph([2, 1], [(2, 1), (1, 2)])
     assert m.vertices == frozenset({1, 2}) and m.edges == ((1, 2), (1, 2))
+
+
+MUTATIONS = {
+    "setitem": lambda m: m.__setitem__(1, 99),
+    "delitem": lambda m: m.__delitem__(next(iter(m))),
+    "update": lambda m: m.update({1: 99}),
+    "setdefault": lambda m: m.setdefault(99, 1),
+    "pop": lambda m: m.pop(next(iter(m))),
+    "popitem": lambda m: m.popitem(),
+    "clear": lambda m: m.clear(),
+    "ior": lambda m: m.__ior__({1: 99}),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+@pytest.mark.parametrize("field", ["branch_map", "paths"])
+def test_cached_embedding_is_read_only(field, mutate):
+    # built afresh, so its verdict is decided here and cached on it
+    g = fixture_graph("butterfly")
+    before = repr(decide_support(g))
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(getattr(decide_support(g).embedding, field))
+    assert repr(decide_support(g)) == before
+
+
+def test_embedding_fields_print_compare_and_serialise_as_dicts():
+    emb = decide_support(fixture_graph("butterfly")).embedding
+    branch_map, paths = dict(emb.branch_map), dict(emb.paths)
+    assert emb.branch_map == branch_map and emb.paths == paths
+    assert repr(emb.branch_map) == repr(branch_map) and repr(emb.paths) == repr(paths)
+    assert json.dumps(emb.branch_map) == json.dumps(branch_map)
+    assert hash(emb) == hash(Embedding(branch_map, paths))
+    for copied in (copy.deepcopy(emb), pickle.loads(pickle.dumps(emb))):
+        with pytest.raises(TypeError):
+            copied.branch_map[1] = 99
+    # a path given as a list is kept as a tuple
+    assert Embedding({1: 4, 2: 5}, {(1, 2): [4, 6, 5]}) == EMBEDDING
+
+
+@pytest.mark.parametrize("kind, value",
+                         [(CnfKind.TRUE, Cnf2.true()), (CnfKind.FALSE, Cnf2.false())])
+def test_constant_kinds_hold_the_empty_tuple(kind, value):
+    for empty in ([], (), set(), None):
+        s = Cnf2(kind, empty)
+        assert s.clauses == () and s == value and hash(s) == hash(value)
