@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cached_property
+from itertools import chain
 from operator import lt, ne
 from typing import Iterable, Sequence
 
@@ -167,14 +168,39 @@ def as_simple(g: Multigraph) -> SimpleGraph:
 
 
 def support_graph(s: Cnf2) -> SimpleGraph:
-    """The simple support graph of a simple sentence."""
-    return as_simple(associated_multigraph(s))
+    """The simple support graph of a simple sentence.
+
+    Equal to as_simple(associated_multigraph(s)), with the same errors,
+    built in one pass over the clauses with no multigraph between.
+    """
+    if not s.is_nontrivial:
+        raise NotNontrivial("constant sentences have no support graph")
+    clauses = s.clauses
+    try:
+        # a clause's ints are sorted by variable, so each pair is an edge (u, v), u < v
+        edges = frozenset([(abs(a), abs(b)) for a, b in clauses])
+    except ValueError:  # a unit clause has one int to unpack
+        unit = next(c for c in clauses if len(c) == 1)
+        raise UnitClausePresent(f"unit clause {unit!r} has no edge support") from None
+    if len(edges) < len(clauses):
+        counts = Counter([(abs(a), abs(b)) for a, b in clauses])
+        pair = min(p for p, mult in counts.items() if mult > 1)
+        raise MultiEdgePresent(pair, counts[pair])
+    return SimpleGraph._trusted(frozenset(chain.from_iterable(edges)), edges)
 
 
 def _component_of(g: SimpleGraph) -> dict[int, int]:
-    """Component number of every vertex, numbered in order of smallest vertex id."""
+    """Component number of every vertex, numbered in order of smallest vertex id.
+
+    The labelling is kept in g's __dict__, as decide_support keeps its
+    verdicts, so the components and the search built on one graph read one
+    labelling.  Callers must not change it.
+    """
+    label = g.__dict__.get("_component_of")
+    if label is not None:
+        return label
     adj = g._neighbours
-    label: dict[int, int] = {}
+    label = {}
     count = 0
     for start in sorted(adj):
         if start in label:
@@ -187,7 +213,7 @@ def _component_of(g: SimpleGraph) -> dict[int, int]:
                     label[w] = count
                     todo.append(w)
         count += 1
-    return label
+    return g.__dict__.setdefault("_component_of", label)
 
 
 def connected_components(g: SimpleGraph) -> list[SimpleGraph]:

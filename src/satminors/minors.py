@@ -21,10 +21,14 @@ core, goes on to build the components, test their structure and search.
 
 The evidence comes from one run of a generic subdivision-embedding search,
 which returns a checkable embedding.  Which pattern to search for is
-settled by structure, not by search: K4 embeds iff series-parallel
-reduction leaves something (Duffin 1965), and the book iff two vertices of
-one block are joined by four internally disjoint paths (Menger), which a
-flow of four augmentations decides.
+settled by structure, not by search.  K4 and the book have cycle rank 3,
+so a qualifying rank-two component holds neither, and its core names the
+one pattern it holds: a figure-eight the butterfly, a dumbbell the bowtie
+(its two cycles are disjoint, so no butterfly).  In a component of rank
+three or more, K4 embeds iff series-parallel reduction leaves something
+(Duffin 1965), and the book iff two vertices of one block are joined by
+four internally disjoint paths (Menger), which a flow of four
+augmentations decides.
 
 A graph is decided at most once per cap: the verdict is cached on the
 graph instance, the same Verdict object is returned on every later call,
@@ -45,7 +49,6 @@ from .graph import (
     _blocks,
     _component_of,
     connected_components,
-    edge,
 )
 
 # not called here; perfbench traces these bindings
@@ -131,7 +134,7 @@ class Embedding(_Value):
     def used_edges(self) -> set[Edge]:
         out: set[Edge] = set()
         for path in self.paths.values():
-            out.update(edge(a, b) for a, b in zip(path, path[1:]))
+            out.update((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
         return out
 
 
@@ -317,7 +320,11 @@ def _simple_paths(host: SimpleGraph, start: int, goal: int, blocked: set[int]):
 
 
 def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> bool:
-    """Check every embedding invariant against the host and pattern."""
+    """Check every embedding invariant against the host and pattern.
+
+    Any id that is no host vertex, 0 and negative ids included, fails the
+    check: the answer is False, never an error.
+    """
     pg = pattern_graph(pattern)
     bm = dict(emb.branch_map)
     if set(bm) != pg.vertices:
@@ -329,6 +336,7 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
     if set(emb.paths) != pg.edges:
         return False
     branch_images = set(bm.values())
+    adj = host.adjacency
     seen_internal: set[int] = set()
     for (u, v), path in emb.paths.items():
         if len(path) < 2 or path[0] != bm[u] or path[-1] != bm[v]:
@@ -336,7 +344,7 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
         if len(set(path)) != len(path):
             return False
         for a, b in zip(path, path[1:]):
-            if not host.has_edge(a, b):
+            if b not in adj.get(a, ()):
                 return False
         inner = set(path[1:-1])
         if inner & branch_images or inner & seen_internal:
@@ -451,12 +459,19 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     produced as evidence (first qualifying component, patterns in fixed
     order).
 
-    Absence of K4 and the book is proved by structure, not by search: a
-    pattern is skipped when its test in _MAY_EMBED fails, and the search
-    would have rejected it.  So find_topological_minor runs once when K4 or
-    the book embeds, and at most twice (a butterfly tried, then the bowtie)
-    otherwise.  A qualifying component above the cap raises HostTooLarge
-    before any test runs.
+    The pattern to search for is chosen by structure, not by search.  A
+    qualifying component of cycle rank two holds neither K4 nor the book,
+    which have rank three, and its core degrees name its one pattern: one
+    hub of degree 4 (a figure-eight) the butterfly, two hubs of degree 3
+    (a dumbbell) the bowtie; no test runs and the search runs once.  On a
+    component of rank three or more, a pattern is skipped when its test in
+    _MAY_EMBED fails, and the search would have rejected it; so
+    find_topological_minor runs once when K4 or the book embeds, and at
+    most twice (a butterfly tried, then the bowtie) otherwise.  Every
+    skipped test and search could only have failed, so the embedding is
+    the one the search of every pattern in order finds first.  A
+    qualifying component above the cap raises HostTooLarge before any test
+    runs.
 
     The verdict is cached on g per cap, so a later call with the same cap,
     synthesize_witness's included, returns the same Verdict object without
@@ -479,15 +494,20 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     excess = sum(d - 2 for d in degree.values() if d)
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
-    if excess == 2 and not _core_has_cut_vertex(g, degree):
+    if excess == 2 and _rank_two_pattern(g, degree) is None:
         return Verdict(False, reason=Reason.THETA_CORE)
     for comp in connected_components(g):
         # a component is connected, so its cycle rank is |E| - |V| + 1
         rank = len(comp.edges) - len(comp.vertices) + 1
-        if rank >= 3 or (rank == 2 and _core_has_cut_vertex(comp, degree)):
+        if rank == 2:
+            shape = _rank_two_pattern(comp, degree)
+            patterns = () if shape is None else (shape,)
+        else:
+            patterns = PATTERN_ORDER if rank >= 3 else ()
+        if patterns:
             if len(comp.vertices) > cap:
                 raise HostTooLarge(cap, len(comp.vertices))
-            for pattern in PATTERN_ORDER:
+            for pattern in patterns:
                 may_embed = _MAY_EMBED.get(pattern)
                 if may_embed is not None and not may_embed(comp):
                     continue
@@ -521,26 +541,27 @@ def _core_degrees(g: SimpleGraph) -> dict[int, int]:
     return degree
 
 
-def _core_has_cut_vertex(comp: SimpleGraph, degree: dict[int, int] | None = None) -> bool:
-    """Whether the 2-core of comp has a cut vertex, when its excess is 2.
+def _rank_two_pattern(comp: SimpleGraph, degree: dict[int, int] | None = None) -> Pattern | None:
+    """The one pattern the 2-core of comp holds, when its excess is 2.
 
     comp is a connected graph of cycle rank 2, or a graph whose core is one
     such component beside cycles, which have no cut vertex.  degree holds
     the core degrees of comp, or of a graph of which comp is a union of
-    components; comp is peeled when it is not given.  Equal to
-    bool(cut_vertices(two_core(comp))), read from degree counts without
-    building the core.  A rank-2 core of n vertices has n + 1 edges, so
-    its degrees, each at least 2, sum to 2n + 2.  So it has one vertex of
-    degree 4, a figure-eight, or two of degree 3 joined by three chains of
-    degree-2 vertices.  Those chains make a theta, with no cut vertex,
-    unless one of them leaves a degree-3 vertex and comes back to it, a
-    dumbbell.
+    components; comp is peeled when it is not given.  Read from degree
+    counts without building the core.  A rank-2 core of n vertices has
+    n + 1 edges, so its degrees, each at least 2, sum to 2n + 2.  So it has
+    one vertex of degree 4, a figure-eight, which holds the butterfly, or
+    two of degree 3 joined by three chains of degree-2 vertices.  Those
+    chains make a theta, with no cut vertex and no pattern (None), unless
+    one of them leaves a degree-3 vertex and comes back to it, a dumbbell,
+    which holds the bowtie.  So the answer is not None exactly when
+    cut_vertices(two_core(comp)) is not empty.
     """
     if degree is None:
         degree = _core_degrees(comp)
     hubs = [v for v in comp.vertices if degree[v] > 2]
     if len(hubs) == 1:
-        return True
+        return Pattern.BUTTERFLY
     nbrs = comp._neighbours
     hub = hubs[0]
     for first in nbrs[hub]:
@@ -553,5 +574,5 @@ def _core_has_cut_vertex(comp: SimpleGraph, degree: dict[int, int] | None = None
                     break
             prev, v = v, w
         if v == hub:
-            return True
-    return False
+            return Pattern.BOWTIE
+    return None

@@ -12,7 +12,7 @@ degree-2 variable, and contraction at an edge not contained in a triangle.
 
 from __future__ import annotations
 
-from .formula import Clause, Cnf2, _pair_clauses, _Value, cnf_to_dimacs, rename_variables
+from .formula import Clause, Cnf2, _clause, _pair_clauses, _Value, cnf_to_dimacs, rename_variables
 from .graph import (
     Edge,
     EdgeInTriangle,
@@ -215,19 +215,23 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
             path = path[::-1]
             lit, far_lit = far_lit, lit
         anchor, far = path[0], path[-1]
+        # every clause joins two distinct vertices of g, so _clause only
+        # puts its two ints in variable order
         for inner in path[1:-1]:
             # lift_subdivision puts the fresh variable positive beside the
             # smaller endpoint of the edge it splits
             if anchor < far:
-                clauses.append(Clause.of(lit, inner))
+                clauses.append(_clause((lit, inner)))
                 lit = -inner
             else:
-                clauses.append(Clause.of(lit, -inner))
+                clauses.append(_clause((lit, -inner)))
                 lit = inner
             anchor = inner
-        clauses.append(Clause.of(lit, far_lit))
+        clauses.append(_clause((lit, far_lit)))
     _refuse_isolated(g)
-    clauses += [Clause.of(x, y) for x, y in g.edges - emb.used_edges()]
+    # an edge (x, y), x < y, is already the positive clause in variable order
+    new = tuple.__new__
+    clauses += [new(Clause, e) for e in g.edges - emb.used_edges()]
     s = Cnf2.of(clauses)
     result = solve(s)
     if result.satisfiable:

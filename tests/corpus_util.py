@@ -11,10 +11,13 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 from satminors import (
     CensusReport,
+    Clause,
     Cnf2,
     SimpleGraph,
     SimplifyOutcome,
@@ -22,6 +25,8 @@ from satminors import (
     SolveResult,
     SubstitutionStep,
     apply_assignment,
+    as_simple,
+    associated_multigraph,
     base_formula,
     collapse_pair,
     decide_support,
@@ -48,6 +53,7 @@ from satminors.minors import (
     find_topological_minor,
     pattern_graph,
 )
+from satminors.witness import NotASubgraph
 
 CORPUS_SEED = 20260809
 FULL_CORPUS = os.environ.get("SATMINORS_FULL", "") not in ("", "0")
@@ -305,6 +311,81 @@ def witness_by_lifting(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
             s = lift_subdivision(s, edge(anchor, far), inner)
             anchor = inner
     return extend_to_supergraph(s, g)
+
+
+def support_graph_by_multigraph(s: Cnf2) -> SimpleGraph:
+    """Reference support graph: build the support multigraph, then check it is simple."""
+    return as_simple(associated_multigraph(s))
+
+
+def witness_by_clause_of(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
+    """Reference witness: synthesize_witness's chains, each clause built by Clause.of.
+
+    Its support check goes through the support multigraph.
+    """
+    verdict = decide_support(g, cap=cap)
+    if not verdict.supports_unsat:
+        return None
+    emb = verdict.embedding
+    branch = emb.branch_map
+    clauses: list[Clause] = []
+    for a, b in base_formula(verdict.pattern).cnf.clauses:
+        path = emb.paths[(abs(a), abs(b))]
+        lit = branch[abs(a)] if a > 0 else -branch[abs(a)]
+        far_lit = branch[abs(b)] if b > 0 else -branch[abs(b)]
+        if path[0] > path[-1]:
+            path = path[::-1]
+            lit, far_lit = far_lit, lit
+        anchor, far = path[0], path[-1]
+        for inner in path[1:-1]:
+            if anchor < far:
+                clauses.append(Clause.of(lit, inner))
+                lit = -inner
+            else:
+                clauses.append(Clause.of(lit, -inner))
+                lit = inner
+            anchor = inner
+        clauses.append(Clause.of(lit, far_lit))
+    uncovered = g.vertices - {x for e in g.edges for x in e}
+    if uncovered:
+        raise NotASubgraph(f"isolated vertices {sorted(uncovered)} cannot support any clause")
+    used = {edge(x, y) for path in emb.paths.values() for x, y in zip(path, path[1:])}
+    clauses += [Clause.of(x, y) for x, y in g.edges - used]
+    s = Cnf2.of(clauses)
+    assert not solve(s).satisfiable
+    assert support_graph_by_multigraph(s) == g
+    return s
+
+
+def atlas_graphs() -> list[SimpleGraph]:
+    """The graphs of networkx.graph_atlas_g() with at least one edge, vertices 1..n.
+
+    Every graph on at most seven vertices, up to isomorphism: 1245 graphs,
+    isolated vertices kept.
+    """
+    import networkx as nx
+
+    return [
+        SimpleGraph.of([(u + 1, v + 1) for u, v in a.edges()], isolated=[v + 1 for v in a.nodes()])
+        for a in nx.graph_atlas_g()
+        if a.number_of_edges()
+    ]
+
+
+def perfbench_analyze_graphs(seed: int, families: tuple[str, ...]) -> list[SimpleGraph]:
+    """The graphs of the named families in the benchmark's analyze workload for a seed."""
+    import satminors
+
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import ops
+    finally:
+        sys.path.remove(bench)
+    workload, _ = ops.build("analyze", seed, False, satminors)
+    return [
+        satminors.parse_edgelist(op.case.text) for op in workload if op.case.family in families
+    ]
 
 
 def census_by_solver(g: SimpleGraph) -> CensusReport:

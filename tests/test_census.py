@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_util import acceptance_corpus, census_by_solver, tree_corpus
+from corpus_util import acceptance_corpus, atlas_graphs, census_by_solver, tree_corpus
 from satminors import (
     Clause,
     CensusReport,
     EdgePolarity,
     SimpleGraph,
     census,
+    decide_support,
     fixture_graph,
     is_minimal_unsat_support,
     solve,
+    support_graph,
     supports_unsat_bruteforce,
+    synthesize_witness,
 )
 from satminors.census import TooManyEdges, formula_at
 from satminors.fixtures import CONFIG_CODES
@@ -212,3 +215,21 @@ class TestMinimality:
     def test_requires_supporting_graph(self):
         with pytest.raises(ValueError):
             is_minimal_unsat_support(fixture_graph("c3"))
+
+
+class TestJudgeAtScale:
+    """The census judges decide_support on every graph with at most seven vertices."""
+
+    def test_atlas(self):
+        graphs = atlas_graphs()
+        assert len(graphs) == 1245 and max(len(g.edges) for g in graphs) == 21
+        reports = [census(g, cap=21) for g in graphs]
+        verdicts = [decide_support(g) for g in graphs]
+        mismatches = [g for g, r, v in zip(graphs, reports, verdicts)
+                      if (r.unsat_count > 0) != v.supports_unsat]
+        assert mismatches == []
+        positives = [SimpleGraph.of(g.edges) for g, v in zip(graphs, verdicts) if v.supports_unsat]
+        assert len(positives) > 900
+        for g in positives:
+            w = synthesize_witness(g)
+            assert not solve(w).satisfiable and support_graph(w) == g, g

@@ -3,10 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors import minors
@@ -458,3 +462,58 @@ class TestClosedStdin:
     def test_in_process_main_without_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", None)
         assert run(capsys, "solve") == (EXIT_USAGE, "", "usage error: stdin is closed; name an input file\n")
+
+
+# three kinds of stdin text: tokens of both input formats mixed freely, and
+# DIMACS and edge-list lines, a quarter of them with one token that does not belong
+_JUNK = st.sampled_from(["p", "cnf", "c", "n", "v", "#", "-", "x", "1.5", "p cnf 3 1", "",
+                         "0", "-3", "99", "0 0", "2 2", "1 2 3 0", "n 9", "v 12", "n -1", "# 1 2"])
+_LITERAL = st.integers(min_value=1, max_value=7).flatmap(lambda v: st.sampled_from([str(v), str(-v)]))
+_ID = st.integers(min_value=0, max_value=9).map(str)
+_TOKEN_SOUP = st.lists(
+    st.tuples(_LITERAL | _ID | _JUNK, st.sampled_from([" ", "\n", "\t", "\r\n"])), max_size=40
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+def _with_junk(lines):
+    def insert(parts):
+        lines, junk, at = parts
+        return "\n".join(lines if junk is None else lines[:at] + [junk] + lines[at:]) + "\n"
+
+    junk = st.none() | st.none() | st.none() | _JUNK
+    return st.tuples(lines, junk, st.integers(min_value=0, max_value=20)).map(insert)
+
+
+_DIMACS_TEXT = st.tuples(
+    st.sampled_from(["p cnf 7 0", "p cnf 7 9", "p cnf 4 1"]),
+    st.lists(st.lists(_LITERAL, min_size=1, max_size=3).map(lambda lits: " ".join(lits) + " 0"),
+             max_size=14),
+).map(lambda parts: [parts[0], *parts[1]])
+_EDGE = st.sampled_from([f"{u} {v}" for u in range(1, 9) for v in range(1, 9) if u != v])
+_EDGE_TEXT = st.lists(_EDGE, min_size=5, max_size=18)
+FUZZ_TEXT = _TOKEN_SOUP | _with_junk(_DIMACS_TEXT) | _with_junk(_EDGE_TEXT)
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_UNSAT, EXIT_USAGE, EXIT_PARSE, EXIT_CAP}
+
+
+class TestFuzzExitCodes:
+    """Random tokens on stdin: every command exits with a documented code, no traceback.
+
+    Seeded (derandomized), so every run tries the same inputs.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["reduce"], ["analyze", "--witness", "-", "--json"], ["census"],
+        ["minor", "k4"], ["minor", "bowtie"],
+    ], ids=" ".join)
+    def test_documented_exit_codes(self, argv):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(FUZZ_TEXT)
+        def check(text):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                    redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in DOCUMENTED_EXITS, (text, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+        check()

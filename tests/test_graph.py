@@ -11,6 +11,8 @@ from corpus_util import (
     connected_components_by_edge_scan,
     cut_vertices_by_child_lists,
     cycle_rank_by_components,
+    random_cnf,
+    support_graph_by_multigraph,
 )
 from satminors import (
     Cnf2,
@@ -136,6 +138,41 @@ class TestAssociatedMultigraph:
         mg = Multigraph(frozenset({1, 2, 3}), ())
         simple = as_simple(mg)
         assert simple.vertices == {1, 2, 3} and not simple.edges
+
+
+def support_outcome(build, s: Cnf2):
+    """repr of build(s), or the type and message of what it raises."""
+    try:
+        return repr(build(s))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestSupportGraphAgainstMultigraph:
+    """support_graph, built straight from the clauses, against the multigraph route."""
+
+    def test_constants_units_and_repeated_pairs(self):
+        sentences = [Cnf2.true(), Cnf2.false()] + [Cnf2.from_ints(raw) for raw in (
+            [[1], [1, 2]],
+            [[2, 3], [-1]],
+            [[1, 2], [-1, -2]],
+            [[3, 4], [-3, 4], [1, 2], [-1, -2], [1, -2]],
+            [[1, 2], [-1, -2], [3]],
+        )]
+        got = [support_outcome(support_graph, s) for s in sentences]
+        assert got == [support_outcome(support_graph_by_multigraph, s) for s in sentences]
+        assert [g[0] for g in got] == [NotNontrivial] * 2 + [UnitClausePresent] * 2 + [
+            MultiEdgePresent] * 2 + [UnitClausePresent]
+        assert got[5][1] == "edge (1, 2) has multiplicity 3"
+
+    def test_random_sentences(self):
+        rng = random.Random(20261104)
+        sentences = [random_cnf(rng) for _ in range(2000)]
+        got = [support_outcome(support_graph, s) for s in sentences]
+        assert got == [support_outcome(support_graph_by_multigraph, s) for s in sentences]
+        kinds = {g if isinstance(g, str) else g[0] for g in got}
+        assert {UnitClausePresent, MultiEdgePresent} <= kinds
+        assert sum(isinstance(g, str) for g in got) > 50
 
 
 class TestCycleRank:

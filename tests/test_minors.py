@@ -37,9 +37,9 @@ from satminors import minors
 from satminors.minors import (
     PATTERN_ORDER,
     HostTooLarge,
-    _core_has_cut_vertex,
     _has_book,
     _has_k4,
+    _rank_two_pattern,
 )
 
 
@@ -144,6 +144,15 @@ class TestVerifyEmbedding:
         (u, v) = (1, 2)
         a, b = paths[(u, v)][0], paths[(u, v)][-1]
         paths[(u, v)] = (a, 999, b)
+        assert not verify_embedding(host, Pattern.BUTTERFLY, Embedding(emb.branch_map, paths))
+
+    @pytest.mark.parametrize("bad", [0, -7, 999])
+    def test_path_through_an_id_outside_the_host_rejected(self, bad):
+        # 0 and negative ids are no vertex ids at all: the check answers
+        # False for them as for an absent id, and raises nothing
+        host, emb = self._embedding()
+        paths = dict(emb.paths)
+        paths[(1, 2)] = (paths[(1, 2)][0], bad, paths[(1, 2)][-1])
         assert not verify_embedding(host, Pattern.BUTTERFLY, Embedding(emb.branch_map, paths))
 
     def test_overlapping_internal_paths_rejected(self):
@@ -564,33 +573,38 @@ def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -
 
 
 class TestRankTwoShape:
-    """_core_has_cut_vertex answers as cut_vertices(two_core(c)) does."""
+    """_rank_two_pattern names a pattern exactly when cut_vertices(two_core(c)) is not empty.
+
+    A figure-eight core names the butterfly and a dumbbell the bowtie.
+    """
+
+    PATTERNS = {"figure-eight": Pattern.BUTTERFLY, "dumbbell": Pattern.BOWTIE,
+                "theta": None, "theta-edge": None}
 
     def test_acceptance_corpus(self):
         comps = [c for g in acceptance_corpus() for c in connected_components(g)]
         rank_two = [c for c in comps if len(c.edges) - len(c.vertices) + 1 == 2]
-        got = [_core_has_cut_vertex(c) for c in rank_two]
+        got = [_rank_two_pattern(c) is not None for c in rank_two]
         assert got == [bool(cut_vertices(two_core(c))) for c in rank_two]
         assert sum(got) > 20 and len(got) - sum(got) > 100
 
     @pytest.mark.parametrize("n", [10, 30, 100, 400, 1500])
     def test_generated_cores_with_trees(self, n):
         rng = random.Random(20261021 + n)
-        shapes = {"figure-eight": True, "dumbbell": True, "theta": False, "theta-edge": False}
-        for shape, expected in shapes.items():
+        for shape, expected in self.PATTERNS.items():
             for _ in range(4):
                 g = rank_two_graph(rng, shape, n)
                 assert len(g.vertices) == n and len(g.edges) == n + 1
-                assert bool(cut_vertices(two_core(g))) is expected, (shape, g)
-                assert _core_has_cut_vertex(g) is expected, (shape, g)
+                assert bool(cut_vertices(two_core(g))) is (expected is not None), (shape, g)
+                assert _rank_two_pattern(g) is expected, (shape, g)
 
     def test_bare_cores(self):
         # no trees hung on: every vertex is in the core
         rng = random.Random(20261022)
-        for shape in ("figure-eight", "dumbbell", "theta", "theta-edge"):
+        for shape, expected in self.PATTERNS.items():
             for _ in range(10):
                 g = rank_two_graph(rng, shape, 40, trees=False)
-                assert _core_has_cut_vertex(g) == bool(cut_vertices(two_core(g))), (shape, g)
+                assert _rank_two_pattern(g) is expected, (shape, g)
 
 
 RANK_TWO_SHAPES = ("figure-eight", "dumbbell", "theta", "theta-edge")
@@ -683,3 +697,49 @@ class TestPeelFirstVerdict:
         assert not any("adjacency" in g.__dict__ for g in graphs)
         assert [v.reason for v in verdicts[:12]] == [r for r in reasons.values() for _ in range(4)]
         assert verdicts == [decide_support_by_components(g) for g in graphs]
+
+
+class TestRankTwoGate:
+    """A qualifying rank-2 component runs no structure test and one search.
+
+    K4 and the book have cycle rank 3, and a dumbbell core holds no
+    butterfly, so each patched call below could only have failed.
+    """
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("a rank-2 component ran a test or search it cannot pass")
+
+    def test_figure_eights_and_dumbbells_skip_the_tests(self, monkeypatch):
+        rng = random.Random(20261103)
+        shapes = {"figure-eight": Pattern.BUTTERFLY, "dumbbell": Pattern.BOWTIE}
+        graphs = [rank_two_graph(rng, shape, n) for shape in shapes for n in (8, 14, 20)
+                  for _ in range(3)]
+        graphs += [rank_two_graph(rng, shape, 20, trees=False) for shape in shapes]
+        # a dumbbell on the smallest ids beside a K4: the dumbbell comes first
+        dumbbell = rank_two_graph(rng, "dumbbell", 12)
+        top = max(dumbbell.vertices)
+        graphs.append(SimpleGraph.of(sorted(dumbbell.edges) + [
+            (top + u, top + v) for u, v in fixture_graph("k4").edges]))
+        # the decider that tried every pattern in turn, on copies
+        expected = [decide_support_by_components(SimpleGraph.of(sorted(g.edges))) for g in graphs]
+
+        search = minors.find_topological_minor
+        calls = []
+
+        def guarded(host, pattern, cap=64):
+            calls.append(pattern)
+            if pattern is Pattern.BUTTERFLY and _rank_two_pattern(host) is Pattern.BOWTIE:
+                self._refuse()
+            return search(host, pattern, cap=cap)
+
+        monkeypatch.setattr(minors, "_has_k4", self._refuse)
+        monkeypatch.setattr(minors, "_has_book", self._refuse)
+        monkeypatch.setitem(minors._MAY_EMBED, Pattern.K4, self._refuse)
+        monkeypatch.setitem(minors._MAY_EMBED, Pattern.BOOK, self._refuse)
+        monkeypatch.setattr(minors, "find_topological_minor", guarded)
+        got = [decide_support(g) for g in graphs]
+        assert got == expected
+        assert calls == [v.pattern for v in got]
+        assert [v.pattern for v in got[:18]] == [p for p in shapes.values() for _ in range(9)]
+        assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))

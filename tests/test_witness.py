@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from corpus_util import acceptance_corpus, brute_force_satisfiable, witness_by_lifting
+from corpus_util import (
+    acceptance_corpus,
+    atlas_graphs,
+    brute_force_satisfiable,
+    perfbench_analyze_graphs,
+    support_graph_by_multigraph,
+    witness_by_clause_of,
+    witness_by_lifting,
+)
 from satminors import (
     Cnf2,
     Pattern,
@@ -271,6 +279,42 @@ class TestSynthesizeWitness:
         assert len(qualifying) > 100
         for g in graphs + qualifying:
             assert synthesize_witness(g) == witness_by_lifting(g), g
+
+
+def outcome(build, g: SimpleGraph):
+    """repr of what build(g) returns, or the type and message of what it raises."""
+    try:
+        return repr(build(g))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstClauseOf:
+    """synthesize_witness and support_graph against the code they replaced:
+    each clause built by Clause.of, the support read through the multigraph."""
+
+    CORPORA = {
+        "acceptance": acceptance_corpus,
+        "atlas": atlas_graphs,
+        "perfbench": lambda: [
+            g
+            for seed in (1, 2, 3)
+            for g in perfbench_analyze_graphs(
+                seed, ("subdivided-k4", "subdivided-book", "figure-eight"))
+        ],
+    }
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_equal_witnesses_and_supports(self, corpus):
+        graphs = self.CORPORA[corpus]()
+        got = [outcome(synthesize_witness, g) for g in graphs]
+        assert got == [outcome(witness_by_clause_of, g) for g in graphs]
+        # an atlas graph may have isolated vertices, which no witness covers
+        stripped = [SimpleGraph.of(g.edges) for g in graphs]
+        witnesses = [w for w in map(synthesize_witness, stripped) if w is not None]
+        assert len(witnesses) > 100
+        assert [repr(support_graph(w)) for w in witnesses] == [
+            repr(support_graph_by_multigraph(w)) for w in witnesses]
 
 
 class TestWitnessDimacs:
