@@ -7,23 +7,28 @@ lexicographically first unsatisfiable example, which is independently
 solver-checked.  Polarity vectors are indexed with the smallest edge as the
 most significant digit and codes ordered PP, PN, NP, NN.
 
+Flipping one variable's sign in every clause maps the sentences one to one
+and keeps satisfiability, so they fall into orbits of 2**V, V the vertices
+with an edge.  Only the sentence of each orbit with every literal positive
+at its vertex's first edge in the order walked is visited; the first
+unsatisfiable one is among them, as flipping a vertex negative at its first
+edge gives a smaller one (lex-leader symmetry breaking, Crawford et al. 1996).
+
 The count is a dynamic program over the edges and never consults the
 structural theorem.  After a prefix of edges, all that matters for the rest
 is the set of truth assignments to the frontier (the vertices with both
 processed and unprocessed edges) that extend to a model of the prefix's
-clauses.  Prefixes with equal sets merge and add their counts; a prefix
-whose set is empty stays unsatisfiable whatever follows, and accounts for
-4**remaining sentences at once.  The counts do not depend on the edge order,
-and the cost grows with the frontier's width, so a sorted order wider than
-three slots is counted along a greedy order that keeps the frontier small
-(the bandwidth idea of Cuthill and McKee), when that one is narrower.
+clauses.  Prefixes with equal sets merge and add their counts, weighed by
+orbit size; a prefix whose set is empty stays unsatisfiable whatever
+follows.  The counts do not depend on the edge order, and the cost grows with
+the frontier's width, so a sorted order wider than three slots is counted
+along a greedy order that keeps the frontier small (the bandwidth idea of
+Cuthill and McKee), when that one is narrower.
 
-The example is found on the sorted order, one prefix at a time: a
-depth-first search tries the codes in order, computes each state's
-successors when it reaches them and stops at the first empty set.  It
-remembers per level the states with no unsatisfiable completion, so it
-expands no more states than the sorted-order count would, and usually far
-fewer.
+The example comes from a depth-first search on the sorted order that tries
+the codes in order, computes a state's successors on reaching it and stops
+at the first empty set.  It remembers per level the states with no unsat
+completion, so it expands no more states than a sorted-order count would.
 
 A set is an int bitset over the assignments of a fixed slot layout: bit a
 stands for the assignment giving slot k the value of bit k of a.  A vertex
@@ -89,13 +94,8 @@ class CensusReport(_Value):
 
 def formula_at(edges: list[tuple[int, int]], index: int) -> Cnf2:
     """Decode one polarity vector into its sentence."""
-    codes = []
-    for _ in edges:
-        codes.append(index & 3)
-        index >>= 2
-    codes.reverse()
-    clauses = [EdgePolarity(c).clause(u, v) for (u, v), c in zip(edges, codes)]
-    return Cnf2.of(clauses)
+    shifts = range(2 * len(edges) - 2, -1, -2)
+    return Cnf2.of([EdgePolarity(index >> k & 3).clause(u, v) for (u, v), k in zip(edges, shifts)])
 
 
 def _slot_layout(edges: list[tuple[int, int]]):
@@ -128,28 +128,41 @@ def _slot_layout(edges: list[tuple[int, int]]):
 # that have one, a greedy order costs more than it saves.
 _NARROW = 3
 
+# Codes kept at an edge, by (u enters, v enters): each literal positive at its vertex's first edge
+_KEPT = {(0, 0): (0, 1, 2, 3), (1, 0): (0, 1), (0, 1): (0, 2), (1, 1): (0,)}
+
 
 def _small_frontier_order(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Greedy order: each next edge leaves the fewest open vertices, earliest sorted first."""
     left = Counter(x for e in edges for x in e)  # edges not yet placed, per vertex
-    seen: set[int] = set()
-
-    def opened(x: int) -> int:  # the change in open vertices when x gets one more edge
-        return -(left[x] == 1) if x in seen else left[x] > 1
-
-    rest = list(edges)
+    opened = {x: int(k > 1) for x, k in left.items()}  # change in open vertices at x's next edge
+    incident: dict[int, list[int]] = {x: [] for x in left}
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    current: list = [opened[u] + opened[v] for u, v in edges]  # None once placed
+    # A heap of (score, sorted index).  A vertex's opened value falls at most twice while
+    # it has edges left; each fall pushes them anew and leaves their old entries stale.
+    heap = sorted(zip(current, range(len(edges))))
     order = []
-    while rest:
-        j = min(range(len(rest)), key=lambda j: opened(rest[j][0]) + opened(rest[j][1]))
-        e = rest.pop(j)
-        order.append(e)
-        left.subtract(e)
-        seen.update(e)
+    while heap:
+        score, i = heappop(heap)
+        if score == current[i]:  # else stale
+            current[i] = None
+            order.append(edges[i])
+            for x in edges[i]:
+                left[x] -= 1
+                if opened[x] != -(left[x] == 1):
+                    opened[x] = -(left[x] == 1)
+                    for j in incident[x]:
+                        if current[j] is not None:
+                            current[j] = opened[edges[j][0]] + opened[edges[j][1]]
+                            heappush(heap, (current[j], j))
     return order
 
 
 def _transitions(layout: tuple[list, int]) -> list[tuple]:
-    """Per edge: the slots entering, the four polarity masks, the slot moves on leaving."""
+    """Per edge: entering slots, kept codes, their masks, slot moves on leaving, weight."""
     steps, width = layout
     n_assignments = 1 << width
     full = (1 << n_assignments) - 1
@@ -164,16 +177,17 @@ def _transitions(layout: tuple[list, int]) -> list[tuple]:
     for su, sv, entering, leaving in steps:
         value_u = (false_at[su], full ^ false_at[su])
         value_v = (false_at[sv], full ^ false_at[sv])
+        codes = _KEPT[su in entering, sv in entering]
         # polarity code c rules out (t_u, t_v) == (c >> 1, c & 1)
-        keeps = [full ^ (value_u[c >> 1] & value_v[c & 1]) for c in range(4)]
+        keeps = [full ^ (value_u[c >> 1] & value_v[c & 1]) for c in codes]
         leave = [(false_at[k], full ^ false_at[k], 1 << k) for k in leaving]
-        transitions.append(([1 << k for k in entering], keeps, leave))
+        transitions.append(([1 << k for k in entering], codes, keeps, leave, 4 // len(codes)))
     return transitions
 
 
 def _children(state: int, transition: tuple) -> list[int]:
-    """The four successor sets of state, in polarity code order."""
-    entering, keeps, leave = transition
+    """The successor sets of state, one per kept code."""
+    entering, _, keeps, leave, _ = transition
     for shift in entering:
         state |= state << shift
     kids = []
@@ -192,8 +206,9 @@ def _count(transitions: list[tuple]) -> tuple[int, int]:
     for i, transition in enumerate(transitions):
         rest = 4 ** (len(transitions) - 1 - i)
         successor: dict[int, int] = {}
-        entering, keeps, leave = transition
+        entering, _, keeps, leave, weight = transition
         for state, count in layer.items():  # _children, inlined: this loop is the hot one
+            count *= weight  # a kept prefix and its flips at the entering vertices
             for shift in entering:
                 state |= state << shift
             for keep in keeps:
@@ -212,27 +227,27 @@ def _first_unsat(transitions: list[tuple]) -> int:
     """The smallest index whose sentence is unsatisfiable; one must exist."""
     last = len(transitions) - 1
     dead: list[set[int]] = [set() for _ in transitions]  # states with no unsat completion
-    stack = []  # per open level: state, its children, the code being tried
-    state, kids, code = 1, _children(1, transitions[0]), 0
+    stack = []  # per open level: state, its children, the child being tried
+    state, kids, j = 1, _children(1, transitions[0]), 0
     while True:
-        if code == 4:
+        if j == len(kids):
             dead[len(stack)].add(state)
             if not stack:
                 raise AssertionError("census lost its unsatisfiable prefix")
-            state, kids, code = stack.pop()
-            code += 1
-        elif not kids[code]:
+            state, kids, j = stack.pop()
+            j += 1
+        elif not kids[j]:
             index = 0
-            for _, _, c in stack:
-                index = 4 * index + c
+            for (_, _, k), transition in zip(stack + [(state, kids, j)], transitions):
+                index = 4 * index + transition[1][k]
             # every suffix is unsatisfiable; the smallest is all PP
-            return (4 * index + code) * 4 ** (last - len(stack))
-        elif len(stack) < last and kids[code] not in dead[len(stack) + 1]:
-            stack.append((state, kids, code))
-            state = kids[code]
-            kids, code = _children(state, transitions[len(stack)]), 0
+            return index * 4 ** (last - len(stack))
+        elif len(stack) < last and kids[j] not in dead[len(stack) + 1]:
+            stack.append((state, kids, j))
+            state = kids[j]
+            kids, j = _children(state, transitions[len(stack)]), 0
         else:
-            code += 1
+            j += 1
 
 
 def census(g: SimpleGraph, cap: int = 10, threads: int = 1) -> CensusReport:

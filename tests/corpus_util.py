@@ -275,6 +275,25 @@ def _first_unsat_backward(transitions: list[dict[int, tuple[int, ...]]]) -> int:
     raise AssertionError("census lost its unsatisfiable prefix")
 
 
+def small_frontier_order_by_scan(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Reference greedy order: scan every remaining edge for the next one, quadratic."""
+    left = Counter(x for e in edges for x in e)  # edges not yet placed, per vertex
+    seen: set[int] = set()
+
+    def opened(x: int) -> int:  # the change in open vertices when x gets one more edge
+        return -(left[x] == 1) if x in seen else left[x] > 1
+
+    rest = list(edges)
+    order = []
+    while rest:
+        j = min(range(len(rest)), key=lambda j: opened(rest[j][0]) + opened(rest[j][1]))
+        e = rest.pop(j)
+        order.append(e)
+        left.subtract(e)
+        seen.update(e)
+    return order
+
+
 def simple_paths_recursive(host: SimpleGraph, start: int, goal: int, blocked: set[int]):
     """Reference path enumeration: one recursive call per path vertex, same DFS order."""
     path = [start]

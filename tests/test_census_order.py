@@ -7,7 +7,15 @@ decide_support.
 
 import random
 
-from corpus_util import acceptance_corpus, frontier_dp_sorted, ladder
+import pytest
+
+from corpus_util import (
+    acceptance_corpus,
+    atlas_graphs,
+    frontier_dp_sorted,
+    ladder,
+    small_frontier_order_by_scan,
+)
 from satminors import SimpleGraph, census, decide_support, fixture_graph, solve
 from satminors.census import _count, _slot_layout, _small_frontier_order, _transitions, formula_at
 from satminors.fixtures import CONFIG_CODES
@@ -64,6 +72,11 @@ def _dumbbell(a: int, p: int, b: int) -> SimpleGraph:
     return SimpleGraph.of(edges + [(second[0], second[-1])])
 
 
+def _strip(n: int) -> SimpleGraph:
+    """The triangle strip on 1..n: edges (i, i + 1) and (i, i + 2)."""
+    return SimpleGraph.of(_path(list(range(1, n + 1))) + [(i, i + 2) for i in range(1, n - 1)])
+
+
 def _structural_verdict(g: SimpleGraph) -> bool:
     """decide_support's answer with no evidence search: cap 0 refuses every qualifying component."""
     try:
@@ -72,18 +85,47 @@ def _structural_verdict(g: SimpleGraph) -> bool:
         return True
 
 
+class TestSignFlipOrbits:
+    """Flipping one variable's sign in every clause maps the sentences on g one
+    to one and keeps satisfiability, so each orbit holds 2**V sentences, V the
+    vertices with an edge."""
+
+    @pytest.fixture(scope="class")
+    def reports(self) -> list:
+        return [census(g, cap=21) for g in atlas_graphs() + _random_graphs(300)]
+
+    def test_counts_are_multiples_of_the_orbit_size(self, reports):
+        assert census(fixture_graph("butterfly")).unsat_count == 2**5
+        for r in reports:
+            orbit = 2 ** len({x for e in r.graph.edges for x in e})
+            assert r.sat_count % orbit == 0 and r.unsat_count % orbit == 0, r.graph
+
+    def test_example_is_positive_at_each_vertex_first_edge(self, reports):
+        # the first unsatisfiable sentence leads its orbit: flipping a vertex
+        # negative at its first edge would give a smaller one
+        for r in reports:
+            if r.example_unsat is None:
+                continue
+            clause = {tuple(abs(x) for x in c): c for c in r.example_unsat.clauses}
+            seen: set[int] = set()
+            for u, v in r.graph.sorted_edges():
+                lit_u, lit_v = clause[u, v]
+                assert (u in seen or lit_u > 0) and (v in seen or lit_v > 0), r.graph
+                seen.update((u, v))
+
+
 class TestAgainstSortedDp:
     def test_counts_and_first_example_match(self):
         graphs = (
             acceptance_corpus()
             + _fixtures_up_to_12_edges()
             + _random_graphs(300)
-            + [ladder(n) for n in range(2, 6)]
+            + [ladder(n) for n in range(2, 8)]
         )
         for g in graphs:
             edges = g.sorted_edges()
             sat, unsat, first = frontier_dp_sorted(edges)
-            report = census(g, cap=13)
+            report = census(g, cap=len(edges))
             example = None if first is None else formula_at(edges, first)
             assert (report.sat_count, report.unsat_count, report.example_unsat) == (
                 sat,
@@ -91,6 +133,7 @@ class TestAgainstSortedDp:
                 example,
             ), g
             # the counts do not depend on the order, whichever one census picked
+            assert _count(_transitions(_slot_layout(edges))) == (sat, unsat), g
             greedy = _transitions(_slot_layout(_small_frontier_order(edges)))
             assert _count(greedy) == (sat, unsat), g
 
@@ -100,6 +143,13 @@ class TestAgainstSortedDp:
             order = _small_frontier_order(edges)
             assert sorted(order) == edges
             assert _slot_layout(order)[1] <= 3 < _slot_layout(edges)[1]
+
+    def test_greedy_order_matches_the_scan(self):
+        graphs = _random_graphs(300) + [ladder(n) for n in (2, 3, 7, 12, 40, 101)]
+        graphs += [_strip(n) for n in (5, 30)] + [fixture_graph(f"hills:{n}") for n in (3, 9)]
+        for g in graphs:
+            edges = g.sorted_edges()
+            assert _small_frontier_order(edges) == small_frontier_order_by_scan(edges), g
 
 
 class TestAgreesWithDecider:
@@ -114,8 +164,15 @@ class TestAgreesWithDecider:
     def test_ladders_and_hills(self):
         hosts = [ladder(n) for n in range(6, 13)] + [_length_ladder(n) for n in range(5, 9)]
         hosts += [fixture_graph(f"hills:{n}") for n in range(6, 16)]
+        hosts += [_strip(n) for n in range(6, 25)]
         for g in hosts:
             self._agree(g, decide_support(g).supports_unsat)
+
+    def test_wide_ladders(self):
+        # The sorted order of ladder(n) is n + 1 slots wide, which only the
+        # example search walks.  The evidence search takes seconds here.
+        for n in range(13, 17):
+            self._agree(ladder(n), _structural_verdict(ladder(n)))
 
     def test_long_length_labelled_ladders(self):
         # The evidence search on these takes 0.3 s at n = 10 and grows about
