@@ -12,14 +12,14 @@ negation), and every operation here works on those ints.  Literal is a
 public value type built only on demand: by Clause.literals, and as the
 replacement of a substitution step.
 
-Building is near-linear: parse_dimacs reads the clause body as one token
-stream (one int() per token, the range checked with min and max, clauses
-cut at the zeros), drops comment lines one by one only when the body holds
-a "c" at all, and looks for line numbers only when it raises.  A body of
-two-literal clauses becomes a sentence in one loop: each pair gets the int
-sort key of _canonical_key, a dict on that key drops duplicates, and the
-plain keys are sorted with no key function.  Any other body goes through
-reduce, and Cnf2 sorts its clauses by _canonical_key.
+Building is near-linear.  Every sentence is sorted by _canonical, which
+takes each clause as the pair of its first and last literal and keys it
+by an int in one loop, with no Python call per clause; Cnf2, reduce,
+substitute and parse_dimacs all go through it.  parse_dimacs reads the
+clause body as one token stream (one int() per token, ASCII digits only,
+the range checked with min and max), drops comment lines one by one only
+when the body holds a "c" at all, and looks for line numbers only when it
+raises.
 
 The value types of every layer (Literal, Cnf2 and SubstitutionStep here,
 SimpleGraph, Verdict, SolveResult and the rest elsewhere) are plain classes
@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import enum
 from itertools import chain, repeat
-from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import attrgetter, itemgetter, length_hint
+from typing import Iterable, Mapping, Sequence, Union
 
 # Partial truth assignment, variable index -> value.
 Assignment = dict[int, bool]
@@ -191,24 +191,33 @@ def _clause(lits: Sequence[int]) -> Clause:
     return tuple.__new__(Clause, lits)
 
 
-def _canonical_key(clauses: Iterable[Clause]) -> Callable[[Clause], int]:
-    """An int sort key for these clauses: by variable, positive first.
+def _canonical(firsts: Iterable[int], lasts: Iterable[int], largest: int,
+               clauses: Iterable[Clause | None] | None = None) -> tuple[Clause, ...]:
+    """The distinct clauses (firsts[i] or lasts[i]) in canonical order.
 
-    A literal x maps to 2x or 1 - 2x.  A pair packs its two codes into one
-    int, and a unit sorts before every pair that starts with its literal,
-    as no literal maps to 0.
+    No |literal| exceeds largest; (a or a) is the unit (a), and (a or -a)
+    is a tautology and drops out.  Every sentence is sorted here, by
+    variable, positive first: a literal x is coded 2x or 1 - 2x, a clause is
+    keyed by its smaller code over its larger one, a unit by its code twice,
+    and a dict on the int key drops duplicates.  The plain keys sort with no
+    key function.  clauses, when given, holds the Clause each pair already
+    is, or None; a Clause is kept, not built again.
     """
-    shift = max(map(abs, chain.from_iterable(clauses))).bit_length() + 2
-
-    def key(c: Clause) -> int:
-        x = c[0]
-        k = (2 * x if x > 0 else 1 - 2 * x) << shift
-        if len(c) == 1:
-            return k
-        y = c[1]
-        return k | (2 * y if y > 0 else 1 - 2 * y)
-
-    return key
+    width = 1 << (largest.bit_length() + 2)
+    new = tuple.__new__
+    found: dict[int, Clause] = {}
+    for a, b, c in zip(firsts, lasts, clauses or repeat(None)):
+        if a + b:
+            x = a + a if a > 0 else 1 - a - a
+            y = b + b if b > 0 else 1 - b - b
+            if x < y:
+                found[x * width + y] = c or new(Clause, (a, b))
+            elif y < x:
+                found[y * width + x] = new(Clause, (b, a))
+            else:
+                found[x * width + x] = c or new(Clause, (a,))
+    del firsts, lasts  # a parse's slices, freed before the keys are sorted
+    return tuple(map(found.__getitem__, sorted(found)))
 
 
 def _literal_int(x: Union[Literal, int]) -> int:
@@ -243,8 +252,10 @@ class Cnf2(_Value):
                 raise ValueError("nontrivial sentence needs at least one clause")
             if not all(map(isinstance, clauses, repeat(Clause))):
                 raise TypeError("a sentence holds Clause values only")
-            distinct = set(clauses)
-            clauses = tuple(sorted(distinct, key=_canonical_key(distinct)))
+            largest = max(map(abs, chain.from_iterable(clauses)))
+            # a unit's last literal is its first
+            firsts, lasts = map(itemgetter(0), clauses), map(itemgetter(-1), clauses)
+            clauses = _canonical(firsts, lasts, largest, clauses)
         elif clauses:
             raise ValueError(f"{kind.value} sentence carries no clauses")
         object.__setattr__(self, "kind", kind)
@@ -253,7 +264,9 @@ class Cnf2(_Value):
 
     @classmethod
     def _trusted(cls, clauses: tuple[Clause, ...]) -> Cnf2:
-        """A nontrivial sentence from distinct clauses in canonical order, unchecked."""
+        """The sentence of distinct clauses in canonical order, unchecked; true if none."""
+        if not clauses:
+            return cls.true()
         s = object.__new__(cls)
         object.__setattr__(s, "kind", CnfKind.NONTRIVIAL)
         object.__setattr__(s, "clauses", clauses)
@@ -315,6 +328,15 @@ class SubstitutionStep(_Value):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "replacement", replacement)
 
+    @classmethod
+    def _trusted(cls, target: int, replacement: Union[Literal, bool]) -> SubstitutionStep:
+        """A step on a variable other than its replacement's, unchecked."""
+        step = object.__new__(cls)
+        fields = step.__dict__
+        fields["target"] = target
+        fields["replacement"] = replacement
+        return step
+
     def __repr__(self) -> str:
         if self.replacement is True:
             return f"{self.target}:=T"
@@ -344,7 +366,8 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
     makes the whole sentence false.  Idempotent; accepts plain ints,
     Literal values, and the TOP/BOTTOM constants inside clauses.
     """
-    kept: list[Clause] = []
+    firsts: list[int] = []
+    lasts: list[int] = []
     false_seen = False
     for raw in raw_clauses:
         if type(raw) is not list and type(raw) is not tuple:
@@ -354,11 +377,8 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
             # two nonzero plain ints need no coercion; type(), not isinstance,
             # leaves bool to the checks below
             if type(a) is int and type(b) is int and a and b:
-                if a == b:
-                    kept.append(tuple.__new__(Clause, (a,)))
-                elif a != -b:
-                    in_order = (a if a > 0 else -a) < (b if b > 0 else -b)
-                    kept.append(tuple.__new__(Clause, (a, b) if in_order else (b, a)))
+                firsts.append(a)
+                lasts.append(b)
                 continue
         lits: list[int] = []
         always_true = False
@@ -379,10 +399,12 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
             continue
         if len(lits) > 2:
             raise ClauseTooLong(f"{len(lits)} distinct literals in one clause")
-        kept.append(_clause(lits))
+        firsts.append(lits[0])
+        lasts.append(lits[-1])
     if false_seen:
         return Cnf2.false()
-    return Cnf2.of(kept)
+    largest = max(map(abs, chain(firsts, lasts)), default=0)
+    return Cnf2._trusted(_canonical(firsts, lasts, largest))
 
 
 def _rewrite(s: Cnf2, image: Mapping[int, Union[int, Const]]) -> Cnf2:
@@ -394,9 +416,13 @@ def _rewrite(s: Cnf2, image: Mapping[int, Union[int, Const]]) -> Cnf2:
     """
     if not s.is_nontrivial:
         return s
-    kept: list[Clause] = []
+    firsts: list[int] = []
+    lasts: list[int] = []
+    kept: list[Clause | None] = []
     for clause in s.clauses:
         if abs(clause[0]) not in image and abs(clause[-1]) not in image:
+            firsts.append(clause[0])
+            lasts.append(clause[-1])
             kept.append(clause)
             continue
         lits: list[int] = []
@@ -413,12 +439,11 @@ def _rewrite(s: Cnf2, image: Mapping[int, Union[int, Const]]) -> Cnf2:
             continue
         if not lits:
             return Cnf2.false()
-        if len(lits) == 2 and abs(lits[0]) == abs(lits[1]):
-            if lits[0] != lits[1]:
-                continue  # complementary literals: a tautology
-            del lits[1]
-        kept.append(_clause(lits))
-    return Cnf2.of(kept)
+        firsts.append(lits[0])
+        lasts.append(lits[-1])
+        kept.append(None)
+    largest = max(map(abs, chain(firsts, lasts)), default=0)
+    return Cnf2._trusted(_canonical(firsts, lasts, largest, kept))
 
 
 def substitute(s: Cnf2, step: SubstitutionStep) -> Cnf2:
@@ -506,6 +531,8 @@ def parse_dimacs(text: Union[str, bytes]) -> Cnf2:
         if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
             raise ParseError(lineno, f"malformed problem line: {stripped!r}")
         try:
+            if "_" in stripped or not (parts[2] + parts[3]).isascii():
+                raise ValueError
             nvars, _ = int(parts[2]), int(parts[3])
         except ValueError:
             raise ParseError(lineno, f"malformed problem line: {stripped!r}") from None
@@ -534,50 +561,36 @@ def _body_sentence(body: list[str], before: int, nvars: int) -> Cnf2:
     except ValueError:
         ints = None
     largest = max(max(ints), -min(ints)) if ints else 0
-    if ints is None or largest > nvars:
+    # int() also reads 1_0 and non-ASCII digits; non-ASCII whitespace is no token
+    lenient = "_" in text or not (text.isascii() or all(map(str.isascii, tokens)))
+    if ints is None or largest > nvars or lenient:
         raise _token_error(tokens, body, before, nvars)
     if ints and ints[-1] != 0:
         raise ParseError(_token_line(body, before, len(ints) - 1), "clause not terminated by 0")
+    del text, tokens  # free the token strings before building
     if ints.count(0) * 3 == len(ints) and not any(ints[2::3]):
-        # every clause has two literals; free the token strings before building
-        del text, tokens
-        return _pair_sentence(ints, largest)
-    clauses = []
-    i = 0
-    while i < len(ints):
-        j = ints.index(0, i)
-        clause = ints[i:j]
-        if len(clause) > 2 and len(set(clause)) > 2:
-            line = _token_line(body, before, j)
-            raise ClauseTooLong(f"line {line}: clause has {len(set(clause))} distinct literals")
-        clauses.append(clause)
-        i = j + 1
-    return reduce(clauses)
-
-
-def _pair_sentence(ints: list[int], largest: int) -> Cnf2:
-    """The sentence of the body tokens `a b 0 a b 0 ...`, no |literal| above largest.
-
-    One pass keys every pair as _canonical_key does: a literal x is coded
-    2x or 1 - 2x, the smaller code goes first, and a unit `a a` keeps the
-    low half 0.  A pair `a -a` is a tautology and drops out.
-    """
-    width = 1 << (largest.bit_length() + 2)
-    new = tuple.__new__
-    found: dict[int, Clause] = {}
-    for a, b in zip(ints[0::3], ints[1::3]):
-        if a + b:
-            x = a + a if a > 0 else 1 - a - a
-            y = b + b if b > 0 else 1 - b - b
-            if x < y:
-                found[x * width + y] = new(Clause, (a, b))
-            elif y < x:
-                found[y * width + x] = new(Clause, (b, a))
-            else:
-                found[x * width] = new(Clause, (a,))
-    if not found:
-        return Cnf2.true()
-    return Cnf2._trusted(tuple(map(found.__getitem__, sorted(found))))
+        # every clause has two literals
+        return Cnf2._trusted(_canonical(ints[0::3], ints[1::3], largest))
+    # each clause as its first and last literal, a unit as `a a`
+    firsts, lasts = [], []
+    empty = False
+    stream = iter(ints)
+    for a in stream:
+        if not a:
+            empty = True
+            continue
+        b = next(stream)
+        if not b:
+            b = a
+        elif c := next(stream):
+            lits = {a, b, c, *iter(stream.__next__, 0)}
+            if len(lits) > 2:
+                line = _token_line(body, before, len(ints) - length_hint(stream) - 1)
+                raise ClauseTooLong(f"line {line}: clause has {len(lits)} distinct literals")
+            a, b = min(lits), max(lits)
+        firsts.append(a)
+        lasts.append(b)
+    return Cnf2.false() if empty else Cnf2._trusted(_canonical(firsts, lasts, largest))
 
 
 def _token_line(body: list[str], before: int, k: int) -> int:
@@ -593,6 +606,8 @@ def _token_line(body: list[str], before: int, k: int) -> int:
 def _token_error(tokens: list[str], body: list[str], before: int, nvars: int) -> FormulaError:
     """The error for the first body token that is no literal in range."""
     for k, token in enumerate(tokens):
+        if "_" in token or not token.isascii():
+            break
         try:
             n = int(token)
         except ValueError:

@@ -409,6 +409,9 @@ def _parse_edgelist_lines(text: str) -> SimpleGraph:
             continue
         parts = stripped.split()
         try:
+            # int() also reads 1_0 and non-ASCII digits
+            if "_" in stripped or not all(map(str.isascii, parts)):
+                raise ValueError
             if parts[0] == "n" and len(parts) == 2:
                 count = int(parts[1])
                 if count < 0:

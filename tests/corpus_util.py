@@ -12,13 +12,15 @@ import itertools
 import os
 import random
 import sys
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
+from heapq import heappop, heappush
 from pathlib import Path
 
 from satminors import (
     CensusReport,
     Clause,
     Cnf2,
+    Literal,
     SimpleGraph,
     SimplifyOutcome,
     SimplifyResult,
@@ -39,7 +41,7 @@ from satminors import (
     substitute,
 )
 from satminors.census import _slot_layout, formula_at
-from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange
+from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange, _clause
 from satminors.graph import _component_of, connected_components, cut_vertices, two_core
 from satminors.minors import (
     PATTERN_ORDER,
@@ -742,6 +744,13 @@ def route_paths_unpruned(host: SimpleGraph, pg: SimpleGraph, branch) -> dict | N
     return None
 
 
+def _strict_int(token: str) -> int:
+    """int() on ASCII digits only: no underscore and no other script's digits."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_dimacs_by_lines(text: str | bytes) -> Cnf2:
     """Reference DIMACS reader: one line at a time, one int() per token."""
     if isinstance(text, bytes):
@@ -764,7 +773,7 @@ def parse_dimacs_by_lines(text: str | bytes) -> Cnf2:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise ParseError(lineno, f"malformed problem line: {stripped!r}")
             try:
-                nvars, _ = int(parts[2]), int(parts[3])
+                nvars, _ = _strict_int(parts[2]), _strict_int(parts[3])
             except ValueError:
                 raise ParseError(lineno, f"malformed problem line: {stripped!r}") from None
             if nvars < 0:
@@ -774,7 +783,7 @@ def parse_dimacs_by_lines(text: str | bytes) -> Cnf2:
             raise ParseError(lineno, "clause appears before the problem line")
         for token in stripped.split():
             try:
-                n = int(token)
+                n = _strict_int(token)
             except ValueError:
                 raise ParseError(lineno, f"bad token {token!r}") from None
             if n == 0:
@@ -835,6 +844,138 @@ def to_simple_by_rewriting(s: Cnf2) -> SimplifyOutcome:
             return SimplifyOutcome(SimplifyResult.SIMPLE, current, tuple(trace))
         current, t = collapse_pair(current, *pair)
         trace.extend(t)
+
+
+class OccurrencesByMovingTarget:
+    """Reference occurrence index: each binding moves every clause of its target.
+
+    The simplifier's index before the representative map; it takes time
+    quadratic in the length of clause_fan.
+    """
+
+    def __init__(self, s: Cnf2):
+        self.clauses: set[Clause] = set()
+        self.occ: dict[int, set[Clause]] = defaultdict(set)
+        self.pairs: dict[tuple[int, int], set[Clause]] = defaultdict(set)
+        self.units: list[tuple[int, bool]] = []
+        self.heavy: list[tuple[int, int]] = []
+        self.trace: list[SubstitutionStep] = []
+        self.false = s.is_false
+        for c in s.clauses:
+            self._add(c)
+
+    def _add(self, c: Clause) -> None:
+        if c in self.clauses:
+            return
+        self.clauses.add(c)
+        x = c[0]
+        self.occ[abs(x)].add(c)
+        if len(c) == 1:
+            heappush(self.units, (abs(x), x < 0))
+            return
+        y = c[1]
+        self.occ[abs(y)].add(c)
+        pair = (abs(x), abs(y))
+        group = self.pairs[pair]
+        group.add(c)
+        if len(group) == 2:
+            heappush(self.heavy, pair)
+
+    def bind(self, step: SubstitutionStep) -> None:
+        self.trace.append(step)
+        if self.false:
+            return
+        v = step.target
+        r = step.replacement
+        image = r if isinstance(r, bool) else r.to_int()
+        for c in self.occ.pop(v, ()):
+            self.clauses.remove(c)
+            x, others = (c[0], c[1:]) if abs(c[0]) == v else (c[1], c[:1])
+            if others:
+                self.occ[abs(others[0])].remove(c)
+                pair = (abs(c[0]), abs(c[1]))
+                group = self.pairs[pair]
+                group.remove(c)
+                if not group:
+                    del self.pairs[pair]
+            if isinstance(image, bool):
+                if image == (x > 0):
+                    continue
+                if not others:
+                    self.false = True
+                    return
+                self._add(_clause(others))
+                continue
+            z = image if x > 0 else -image
+            if not others or others[0] == z:
+                self._add(_clause((z,)))
+            elif others[0] != -z:
+                self._add(_clause((z, others[0])))
+
+    def clear_units(self) -> None:
+        while self.units and not self.false:
+            var, negative = heappop(self.units)
+            if ((-var if negative else var),) in self.clauses:
+                self.bind(SubstitutionStep(var, not negative))
+
+    def heavy_pair(self) -> tuple[int, int] | None:
+        while self.heavy:
+            pair = heappop(self.heavy)
+            if len(self.pairs.get(pair, ())) >= 2:
+                return pair
+        return None
+
+    def sentence(self, s: Cnf2) -> Cnf2:
+        if not self.trace:
+            return s
+        if self.false:
+            return Cnf2.false()
+        return Cnf2.of(self.clauses)
+
+
+def _collapse_steps_by_cases(a: int, b: int, clauses) -> tuple[SubstitutionStep, ...]:
+    """collapse_pair's bindings for the clauses over the pair a < b, with checked steps."""
+    ruled_out = {(c[0] < 0, c[1] < 0) for c in clauses}
+    alive = [(ta, tb) for ta in (True, False) for tb in (True, False) if (ta, tb) not in ruled_out]
+    if not alive:
+        return SubstitutionStep(a, True), SubstitutionStep(b, True)
+    if len(alive) == 1:
+        ((ta, tb),) = alive
+        return SubstitutionStep(a, ta), SubstitutionStep(b, tb)
+    (ta, tb), (ua, ub) = alive
+    if ta == ua:
+        return (SubstitutionStep(a, ta),)
+    if tb == ub:
+        return (SubstitutionStep(b, tb),)
+    return (SubstitutionStep(b, Literal(a, ta == tb)),)
+
+
+def to_simple_by_moving_targets(s: Cnf2) -> SimplifyOutcome:
+    """Reference simplifier: to_simple over OccurrencesByMovingTarget."""
+    work = OccurrencesByMovingTarget(s)
+    while True:
+        work.clear_units()
+        if work.false or not work.clauses:
+            break
+        pair = work.heavy_pair()
+        if pair is None:
+            break
+        for step in _collapse_steps_by_cases(*pair, work.pairs[pair]):
+            work.bind(step)
+    if work.false:
+        result = SimplifyResult.UNSATISFIABLE
+    elif work.clauses:
+        result = SimplifyResult.SIMPLE
+    else:
+        result = SimplifyResult.TRIVIALLY_TRUE
+    return SimplifyOutcome(result, work.sentence(s), tuple(work.trace))
+
+
+def eliminate_units_by_moving_targets(s: Cnf2) -> tuple[Cnf2, tuple[SubstitutionStep, ...]]:
+    """Reference unit elimination over OccurrencesByMovingTarget."""
+    work = OccurrencesByMovingTarget(s)
+    work.clear_units()
+    return work.sentence(s), tuple(work.trace)
 
 
 def equivalence_chain(n: int) -> Cnf2:

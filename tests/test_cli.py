@@ -68,6 +68,17 @@ class TestSolveCommand:
         assert "parse error" in err
 
 
+    @pytest.mark.parametrize("command, text", [
+        ("solve", "p cnf 20 1\n1_0 2 0\n"), ("reduce", "p cnf 3 1\n\u0663 2 0\n"),
+        ("solve", "p cnf 2_0 1\n1 2 0\n"), ("analyze", "1_0 2\n"), ("analyze", "n 1_0\n"),
+    ])
+    def test_underscores_and_other_digits_are_parse_errors(self, capsys, tmp_path, command, text):
+        path = write(tmp_path, "lenient.txt", text)
+        code, out, err = run(capsys, command, path)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("parse error: line ") and "Traceback" not in err
+
+
 class TestReduceCommand:
     def test_full_pair_unsat(self, capsys, tmp_path):
         path = write(tmp_path, "p.cnf", "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
@@ -92,6 +103,25 @@ class TestReduceCommand:
         lines = out.splitlines()
         assert lines[0] == "TRIVIALLY-TRUE"
         assert lines[1] == "trace: 1:=T 2:=T"
+
+    def test_mixed_body_pinned(self, capsys, tmp_path):
+        # a clause fan whose last variable is relabelled as it collapses, units,
+        # a folded clause, a clause split across lines and a tautology
+        fan = [f"{i} -{i + 1} 0" for i in range(1, 16)] + [f"-{i} 16 0" for i in range(1, 16)]
+        lines = ["c a fan on 1..16", "p cnf 23 39"]
+        lines += [" ".join(fan[k:k + 5]) for k in range(0, 30, 5)]
+        lines += ["c a tail on 17..23", "17 17 0 -17 18 -17 0 -17",
+                  "19 0 18 20 0 20 21 0 18 21 0 5 -5 0", "19 -20 0 -19 20 0 18 20 0",
+                  "1 22 0 22 -23 0 -16 23 0"]
+        path = write(tmp_path, "mixed.cnf", "\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "reduce", path)
+        assert code == EXIT_OK
+        assert out == (
+            "SIMPLE\n"
+            "trace: 17:=T 18:=T 19:=T 20:=T 16:=15 15:=14 14:=13 13:=12 12:=11 11:=10 10:=9 9:=8"
+            " 8:=7 7:=6 6:=5 5:=4 4:=3 3:=2 2:=1\n"
+            "p cnf 23 3\n1 22 0\n-1 23 0\n22 -23 0\n"
+        )
 
     def test_emitted_dimacs_reparses_equal(self, capsys, tmp_path):
         original = Cnf2.from_ints([[1, 2], [-1, 3], [2, 3]])

@@ -3,6 +3,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_util import parse_dimacs_by_lines
 from satminors import formula
@@ -325,6 +327,84 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+class TestStrictTokens:
+    """int() also reads 1_0 and other scripts' digits; the parsers refuse them."""
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("p cnf 20 1\n1_0 2 0\n", 2, "bad token '1_0'"),
+        ("p cnf 3 1\n\u0663 2 0\n", 2, "bad token '\u0663'"),
+        ("p cnf 3 2\n1 2 0\nc 1_0\n-1 \uff13 0\n", 4, "bad token '\uff13'"),
+        ("p cnf 2 2\n1 2 0 -1\n-2_0 0\n", 3, "bad token '-2_0'"),
+        ("p cnf 2_0 1\n1 2 0\n", 1, "malformed problem line: 'p cnf 2_0 1'"),
+        ("p cnf 2 \u0661\n1 2 0\n", 1, "malformed problem line: 'p cnf 2 \u0661'"),
+    ])
+    def test_dimacs(self, text, line, reason):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(text)
+        assert (err.value.line, err.value.reason) == (line, reason)
+        assert str(err.value) == str(pytest.raises(ParseError, parse_dimacs_by_lines, text).value)
+
+    def test_a_bad_token_comes_before_a_literal_out_of_range(self):
+        with pytest.raises(ParseError, match="line 2: bad token '1_0'"):
+            parse_dimacs("p cnf 2 2\n1_0 2 0\n9 1 0\n")
+        with pytest.raises(VariableOutOfRange, match="line 2: literal 9 exceeds"):
+            parse_dimacs("p cnf 2 2\n9 2 0\n1_0 1 0\n")
+
+    def test_other_whitespace_still_separates(self):
+        assert parse_dimacs("p cnf 2 1\n1\xa02\u20030\n") == Cnf2.from_ints([[1, 2]])
+        assert parse_dimacs("c \u0663 1_0\np cnf 2 1\n-1 2 0\n") == Cnf2.from_ints([[-1, 2]])
+
+
+_body_literals = st.integers(min_value=1, max_value=5).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def _dimacs_bodies(draw):
+    """Clauses of 0-3 literals, and body lines that split them at random.
+
+    Returns the clauses, the body lines and the line of each clause's 0,
+    counting the problem line as line 1.
+    """
+    clauses = draw(st.lists(st.lists(_body_literals, max_size=3), max_size=14))
+    lines: list[str] = []
+    line: list[str] = []
+    zero_lines = []
+    for clause in clauses:
+        for token in [*map(str, clause), "0"]:
+            line.append(token)
+            if token == "0":
+                zero_lines.append(len(lines) + 2)
+            if draw(st.integers(0, 3)) == 0:
+                lines.append(" ".join(line))
+                line = []
+                if draw(st.integers(0, 4)) == 0:
+                    lines.append(draw(st.sampled_from(["c", "c 1 2 3 0", "c 1_0 -x"])))
+    lines.append(" ".join(line))
+    return clauses, lines, zero_lines
+
+
+class TestParseDimacsMatchesReduce:
+    """Any body of short clauses parses to reduce of its clauses, or fails as before.
+
+    The first clause with three distinct literals fails with the line of
+    its 0, even after an empty clause.
+    """
+
+    @settings(deadline=None, max_examples=500)
+    @given(_dimacs_bodies())
+    def test_bodies(self, body):
+        clauses, lines, zero_lines = body
+        text = "p cnf 5 0\n" + "\n".join(lines) + "\n"
+        long = [i for i, clause in enumerate(clauses) if len(set(clause)) > 2]
+        if long:
+            k = long[0]
+            want = (ClauseTooLong, f"line {zero_lines[k]}: clause has 3 distinct literals")
+        else:
+            want = reduce(clauses)
+        got = _outcome(parse_dimacs, text)
+        assert got == want and got == _outcome(parse_dimacs_by_lines, text)
+
+
 class TestParseDimacsMatchesLineReader:
     def test_seeded_texts(self):
         rng = random.Random(20261018)
@@ -451,28 +531,38 @@ class TestPairBodies:
 
 
 class TestPairBodyFastPath:
-    """An all-pairs body never reaches reduce or the per-clause sort key."""
+    """A DIMACS body never reaches reduce or Cnf2's checked constructor."""
 
     @staticmethod
     def _refuse(*args, **kwargs):
         raise AssertionError("the general path was taken")
 
+    @classmethod
+    def _refuse_general_paths(cls, monkeypatch):
+        init = Cnf2.__init__
+
+        def constants_only(self, kind, clauses=()):
+            if kind is CnfKind.NONTRIVIAL:
+                cls._refuse()
+            init(self, kind, clauses)
+
+        monkeypatch.setattr(formula, "reduce", cls._refuse)
+        monkeypatch.setattr(Cnf2, "__init__", constants_only)
+
     def test_all_pairs_bypass_reduce_and_the_sort_key(self, monkeypatch):
         texts = ["p cnf 3 4\n1 -2 0\n-3 2 0\n2 2 0\n1 -1 0\n", "p cnf 2 1\n1 -1 0\n", "p cnf 0 0\n"]
         want = [parse_dimacs(text) for text in texts]
-        monkeypatch.setattr(formula, "reduce", self._refuse)
-        monkeypatch.setattr(formula, "_canonical_key", self._refuse)
+        self._refuse_general_paths(monkeypatch)
         assert [parse_dimacs(text) for text in texts] == want
         assert repr(want[0]) == "Cnf2(1 -2)(2)(2 -3)" and want[1].is_true and want[2].is_true
 
     @pytest.mark.parametrize("text", ["p cnf 3 2\n1 -2 0\n3 0\n", "p cnf 3 2\n1 -2 0\n1 1 3 0\n",
-                                      "p cnf 3 2\n1 -2 0\n0\n"])
-    def test_other_bodies_reach_reduce(self, monkeypatch, text):
-        calls = []
-        general = formula.reduce
-        monkeypatch.setattr(formula, "reduce", lambda raw: calls.append(raw) or general(raw))
-        assert parse_dimacs(text) == parse_dimacs_by_lines(text)
-        assert len(calls) == 1
+                                      "p cnf 3 2\n1 -2 0\n0\n",
+                                      "p cnf 3 3\n3 -3 3 0\n2 2 -1 2 0\n"])
+    def test_other_bodies_bypass_reduce(self, monkeypatch, text):
+        want = parse_dimacs_by_lines(text)
+        self._refuse_general_paths(monkeypatch)
+        assert parse_dimacs(text) == want
 
 
 class TestReduceArgumentsAreSized:
@@ -501,9 +591,9 @@ class TestReduceArgumentsAreSized:
         units = "p cnf 4 4\n1 0\n-1 2 0\n-2 3 0\n-3 4 0\n"
         for text in (pairs, units):
             to_simple(parse_dimacs(text))
-        assert len(calls) == 1
+        assert not calls  # neither body nor the simplifier goes through reduce
         assert synthesize_witness(fixture_graph("hills:3")) is not None
-        assert len(calls) > 1
+        assert calls
         census(fixture_graph("config:pvv"))
 
 

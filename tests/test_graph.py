@@ -489,6 +489,20 @@ class TestEdgeListFormat:
         assert_parsers_agree(text)
 
 
+    @pytest.mark.parametrize("text, line", [
+        ("1_0 2\n", 1), ("1 2\nn 1_0\n", 2), ("v \u0663\n", 1), ("1 2\n3 \uff14\n", 2),
+    ])
+    def test_underscores_and_other_digits_rejected(self, text, line):
+        # int() reads them, so 1_0 2 was the edge 2-10
+        with pytest.raises(ParseError) as err:
+            parse_edgelist(text)
+        assert err.value.line == line and err.value.reason.startswith("bad edge-list line")
+        assert_parsers_agree(text)
+
+    def test_other_whitespace_still_separates(self):
+        assert parse_edgelist("1\xa02\n2 3 # \u0663\n") == SimpleGraph.of([(1, 2), (2, 3)])
+
+
 class TestEdgeListFastPath:
     """The one-pass parser against the line parser it falls back to."""
 

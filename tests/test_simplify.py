@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_util import (
+    FULL_CORPUS,
     clause_fan,
+    eliminate_units_by_moving_targets,
     eliminate_units_by_rewriting,
     equivalence_chain,
     random_cnf,
     random_multigraph_raw,
+    to_simple_by_moving_targets,
     to_simple_by_rewriting,
     unit_chain,
 )
@@ -258,6 +261,59 @@ class TestMatchesRewritingOracle:
         self.check(reduce(raw))
 
 
+def _hubs(rng: random.Random):
+    """Fans with random pairs added among their variables, relabelled.
+
+    The fan's last variable gathers clauses and many repeated pairs, so the
+    representative map relabels a class that still has repeated pairs
+    waiting on the heap.
+    """
+    for m in (12, 20, 33, 50, 80):
+        for _ in range(12):
+            extra = []
+            for _ in range(rng.randint(0, 2 * m)):
+                u, v = rng.sample(range(1, m + 1), 2)
+                extra.append([rng.choice([u, -u]), rng.choice([v, -v])])
+            s = reduce(list(clause_fan(m).clauses) + extra)
+            yield s
+            yield _relabelled(s, rng)
+
+
+class TestMatchesMovingTargets(TestMatchesRewritingOracle):
+    """The representative map against the index that moves every clause of the target.
+
+    The parent class's inputs run here too, against this oracle.
+    """
+
+    @staticmethod
+    def check(s: Cnf2) -> None:
+        # equal outcomes hold equal traces and equal clause tuples, in order
+        assert to_simple(s) == to_simple_by_moving_targets(s)
+        assert eliminate_units(s) == eliminate_units_by_moving_targets(s)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_raw_sentences)
+    def test_hypothesis_sentences(self, raw):
+        # a test of its own: Hypothesis refuses one test run under two classes
+        self.check(reduce(raw))
+
+    def test_clause_fans(self):
+        sizes = range(2, 301) if FULL_CORPUS else [*range(2, 41), *range(50, 301, 25)]
+        for m in sizes:
+            self.check(clause_fan(m))
+
+    def test_shuffled_signed_equivalence_chains(self):
+        rng = random.Random(20261019)
+        for n in (2, 3, 5, 8, 13, 40, 101, 300):
+            for _ in range(8):
+                self.check(_relabelled(equivalence_chain(n), rng))
+
+    def test_relabelled_classes_keep_their_repeated_pairs(self):
+        rng = random.Random(19)
+        for s in _hubs(rng):
+            self.check(s)
+
+
 class TestScaling:
     """Each binding rewrites only its target's clauses, so long chains stay cheap.
 
@@ -273,6 +329,24 @@ class TestScaling:
         assert out.result is SimplifyResult.TRIVIALLY_TRUE
         assert len(out.trace) == 3000
         assert elapsed < 2.0, f"to_simple took {elapsed:.2f} s on {chain.__name__}(3000)"
+
+    def test_clause_fan_is_linear(self):
+        # moving the target's clauses took 0.16 / 0.68 / 2.9 s at m = 500 / 1000 / 2000
+        s = clause_fan(2000)
+        start = time.perf_counter()
+        out = to_simple(s)
+        elapsed = time.perf_counter() - start
+        assert out.result is SimplifyResult.TRIVIALLY_TRUE and len(out.trace) == 1999
+        assert elapsed < 0.5, f"to_simple took {elapsed:.2f} s on clause_fan(2000)"
+
+    def test_shuffled_equivalence_chain_of_3000(self):
+        rng = random.Random(3)
+        s = _relabelled(equivalence_chain(3000), rng)
+        start = time.perf_counter()
+        out = to_simple(s)
+        elapsed = time.perf_counter() - start
+        assert out.result is SimplifyResult.TRIVIALLY_TRUE and len(out.trace) == 3000
+        assert elapsed < 0.5, f"to_simple took {elapsed:.2f} s on a shuffled 3000-chain"
 
     def test_memory_follows_the_live_clauses(self):
         # the fan moves m**2 / 2 clauses through m**2 / 2 distinct pairs, of

@@ -131,6 +131,20 @@ class TestValueContract:
             assert type(b) is cls and b == a and repr(b) == text
 
 
+@pytest.mark.parametrize("target, replacement", [(2, True), (5, False), (2, Literal(3, False)),
+                                                 (7, Literal(1))])
+def test_trusted_steps_are_the_checked_ones(target, replacement):
+    checked = SubstitutionStep(target, replacement)
+    trusted = SubstitutionStep._trusted(target, replacement)
+    assert type(trusted) is SubstitutionStep and trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+    assert {trusted, checked} == {checked}
+    for copied in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted)):
+        assert copied == checked and hash(copied) == hash(checked)
+    with pytest.raises(AttributeError):
+        trusted.target = target
+
+
 @pytest.mark.parametrize("decided_first", [False, True])
 def test_graph_round_trip_still_decides(decided_first):
     g = fixture_graph("butterfly")
