@@ -332,9 +332,7 @@ class SubstitutionStep(_Value):
     def _trusted(cls, target: int, replacement: Union[Literal, bool]) -> SubstitutionStep:
         """A step on a variable other than its replacement's, unchecked."""
         step = object.__new__(cls)
-        fields = step.__dict__
-        fields["target"] = target
-        fields["replacement"] = replacement
+        step.__dict__.update(target=target, replacement=replacement)
         return step
 
     def __repr__(self) -> str:
@@ -366,8 +364,7 @@ def reduce(raw_clauses: Iterable[RawClause]) -> Cnf2:
     makes the whole sentence false.  Idempotent; accepts plain ints,
     Literal values, and the TOP/BOTTOM constants inside clauses.
     """
-    firsts: list[int] = []
-    lasts: list[int] = []
+    firsts, lasts = [], []
     false_seen = False
     for raw in raw_clauses:
         if type(raw) is not list and type(raw) is not tuple:
@@ -416,8 +413,7 @@ def _rewrite(s: Cnf2, image: Mapping[int, Union[int, Const]]) -> Cnf2:
     """
     if not s.is_nontrivial:
         return s
-    firsts: list[int] = []
-    lasts: list[int] = []
+    firsts, lasts = [], []
     kept: list[Clause | None] = []
     for clause in s.clauses:
         if abs(clause[0]) not in image and abs(clause[-1]) not in image:
@@ -531,7 +527,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Cnf2:
         if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
             raise ParseError(lineno, f"malformed problem line: {stripped!r}")
         try:
-            if "_" in stripped or not (parts[2] + parts[3]).isascii():
+            if _lenient(parts[2] + parts[3]):
                 raise ValueError
             nvars, _ = int(parts[2]), int(parts[3])
         except ValueError:
@@ -561,8 +557,7 @@ def _body_sentence(body: list[str], before: int, nvars: int) -> Cnf2:
     except ValueError:
         ints = None
     largest = max(max(ints), -min(ints)) if ints else 0
-    # int() also reads 1_0 and non-ASCII digits; non-ASCII whitespace is no token
-    lenient = "_" in text or not (text.isascii() or all(map(str.isascii, tokens)))
+    lenient = _lenient(text) and any(map(_lenient, tokens))  # whitespace may be non-ASCII
     if ints is None or largest > nvars or lenient:
         raise _token_error(tokens, body, before, nvars)
     if ints and ints[-1] != 0:
@@ -593,6 +588,11 @@ def _body_sentence(body: list[str], before: int, nvars: int) -> Cnf2:
     return Cnf2.false() if empty else Cnf2._trusted(_canonical(firsts, lasts, largest))
 
 
+def _lenient(text: str) -> bool:
+    """Whether text may hold a token that int() reads but that is no ASCII digits, as 1_0."""
+    return "_" in text or not text.isascii()
+
+
 def _token_line(body: list[str], before: int, k: int) -> int:
     """The line number of body token k, where body follows line `before`."""
     for lineno, line in enumerate(body, start=before + 1):
@@ -606,7 +606,7 @@ def _token_line(body: list[str], before: int, k: int) -> int:
 def _token_error(tokens: list[str], body: list[str], before: int, nvars: int) -> FormulaError:
     """The error for the first body token that is no literal in range."""
     for k, token in enumerate(tokens):
-        if "_" in token or not token.isascii():
+        if _lenient(token):
             break
         try:
             n = int(token)

@@ -21,7 +21,7 @@ from itertools import chain
 from operator import lt, ne
 from typing import Iterable, Sequence
 
-from .formula import Cnf2, ParseError, _Value
+from .formula import Cnf2, ParseError, _lenient, _Value
 
 Edge = tuple[int, int]
 
@@ -409,18 +409,12 @@ def _parse_edgelist_lines(text: str) -> SimpleGraph:
             continue
         parts = stripped.split()
         try:
-            # int() also reads 1_0 and non-ASCII digits
-            if "_" in stripped or not all(map(str.isascii, parts)):
-                raise ValueError
             if parts[0] == "n" and len(parts) == 2:
-                count = int(parts[1])
-                if count < 0:
-                    raise ValueError
-                vertices.update(range(1, count + 1))
+                vertices.update(range(1, _natural(parts[1], 0) + 1))
             elif parts[0] == "v" and len(parts) == 2:
-                vertices.add(_positive(parts[1]))
+                vertices.add(_natural(parts[1]))
             elif len(parts) == 2:
-                u, v = _positive(parts[0]), _positive(parts[1])
+                u, v = _natural(parts[0]), _natural(parts[1])
                 edges.add(edge(u, v))
                 vertices.update((u, v))
             else:
@@ -430,9 +424,12 @@ def _parse_edgelist_lines(text: str) -> SimpleGraph:
     return SimpleGraph(frozenset(vertices), frozenset(edges))
 
 
-def _positive(token: str) -> int:
+def _natural(token: str, least: int = 1) -> int:
+    """The int a token of ASCII digits spells, if it is at least least."""
+    if _lenient(token):
+        raise ValueError(token)
     n = int(token)
-    if n < 1:
+    if n < least:
         raise ValueError(token)
     return n
 

@@ -242,24 +242,30 @@ class _Occurrences:
             return
         lit = t if r else -t
         var = abs(t)
-        clauses, occ, pairs = self.clauses, self.occ, self.pairs
-        for c in occ.pop(var, ()):
-            clauses.remove(c)
+        clauses, unlink = self.clauses, self._unlink
+        for c in self.occ.pop(var, ()):
             if len(c) == 1:
+                clauses.remove(c)
                 if c[0] != lit:
                     self.false = True
                     return
                 continue
-            x, y = c
-            other = y if abs(x) == var else x
-            occ[abs(other)].remove(c)
-            pair = (abs(x), abs(y))
-            group = pairs[pair]
-            group.remove(c)
-            if not group:
-                del pairs[pair]
+            other = unlink(c, var)
             if lit not in c:
                 self._add((other,))
+
+    def _unlink(self, c: tuple[int, int], var: int) -> int:
+        """Drop the pair c, popped from var's clauses, and return its other literal."""
+        self.clauses.remove(c)
+        x, y = c
+        other = y if abs(x) == var else x
+        self.occ[abs(other)].remove(c)
+        pair = (abs(x), abs(y))
+        group = self.pairs[pair]
+        group.remove(c)
+        if not group:
+            del self.pairs[pair]
+        return other
 
     def _tie(self, v: int, t: int, r: Literal) -> None:
         """Bind v, whose internal literal is t, to the literal r."""
@@ -269,10 +275,8 @@ class _Occurrences:
             alpha = -alpha
         occ = self.occ
         # t and alpha become one literal, and the variable with fewer clauses
-        # moves.  A slack of 8 keeps short chains, where relabelling costs
-        # more than moving a few clauses, from relabelling; union by size
-        # with a constant slack keeps its amortised bound.
-        if len(occ.get(abs(t), ())) > len(occ.get(abs(alpha), ())) + 8:
+        # moves (union by size)
+        if len(occ.get(abs(t), ())) > len(occ.get(abs(alpha), ())):
             # t's variable keeps its clauses and takes a's name; the bound v
             # names 0, no internal literal, so no stale heap entry of v matches
             new = t if r.positive else -t
@@ -284,17 +288,9 @@ class _Occurrences:
         # a literal step is a collapse's only step, after clear_units, so every
         # clause here is a pair
         var = abs(t)
-        clauses, pairs, add = self.clauses, self.pairs, self._add
+        unlink, add = self._unlink, self._add
         for c in occ.pop(var, ()):
-            clauses.remove(c)
-            x, y = c
-            other = y if abs(x) == var else x
-            occ[abs(other)].remove(c)
-            pair = (abs(x), abs(y))
-            group = pairs[pair]
-            group.remove(c)
-            if not group:
-                del pairs[pair]
+            other = unlink(c, var)
             z = alpha if t in c else -alpha
             if other == z:
                 add((z,))
@@ -319,8 +315,7 @@ class _Occurrences:
     def heavy_pair(self) -> tuple[int, int, Iterable[tuple[int, ...]]] | None:
         """The smallest pair a < b with two or more clauses, and those clauses.
 
-        The clauses are in external names, a's literal first, and are read
-        before the next binding.
+        The clauses are in external names, a's literal first.
         """
         inner, outer = self.inner.get, self.outer.get
         while self.heavy:
@@ -328,8 +323,6 @@ class _Occurrences:
             i, j = abs(inner(a, a)), abs(inner(b, b))
             group = self.pairs.get((i, j) if i < j else (j, i), ())
             if len(group) >= 2:
-                if not self.outer:
-                    return a, b, group
                 found = []
                 for x, y in group:
                     x, y = outer(x, x), outer(y, y)
