@@ -13,7 +13,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .census import TooManyEdges, census
-from .formula import Cnf2, FormulaError, ParseError, cnf_to_dimacs, parse_dimacs
+from .formula import Cnf2, FormulaError, ParseError, _lenient, cnf_to_dimacs, parse_dimacs
 from .sat import solve
 
 # Each handler imports the layers it runs, so a process compiles only those.
@@ -98,6 +98,8 @@ def _sniff_graph_or_cnf(text: str) -> SimpleGraph | Cnf2:
 
 def _cap(text: str) -> int:
     try:
+        if _lenient(text):
+            raise ValueError
         cap = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None

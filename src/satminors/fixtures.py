@@ -10,6 +10,7 @@ path is rendered as a single edge.
 
 from __future__ import annotations
 
+from .formula import _lenient
 from .graph import SimpleGraph
 from .minors import Pattern, pattern_graph
 
@@ -124,6 +125,8 @@ def fixture_graph(name: str) -> SimpleGraph:
 
 def _int_arg(name: str, arg: str) -> int:
     try:
+        if _lenient(arg):
+            raise ValueError
         value = int(arg)
     except ValueError:
         raise UnknownFixture(f"bad fixture argument in {name!r}") from None

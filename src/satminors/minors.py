@@ -25,10 +25,10 @@ settled by structure, not by search.  K4 and the book have cycle rank 3,
 so a qualifying rank-two component holds neither, and its core names the
 one pattern it holds: a figure-eight the butterfly, a dumbbell the bowtie
 (its two cycles are disjoint, so no butterfly).  In a component of rank
-three or more, K4 embeds iff series-parallel reduction leaves something
-(Duffin 1965), and the book iff two vertices of one block are joined by
-four internally disjoint paths (Menger), which a flow of four
-augmentations decides.
+three or more, one weighted series-parallel reduction per block decides
+both: K4 embeds iff some block keeps more than two vertices (Duffin 1965),
+and the book iff two vertices are joined by four internally disjoint
+paths, which the edge weights count.
 
 A graph is decided at most once per cap: the verdict is cached on the
 graph instance, the same Verdict object is returned on every later call,
@@ -38,7 +38,6 @@ and a HostTooLarge refusal is not cached.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from functools import cache
 from typing import Mapping, Sequence
 
@@ -353,101 +352,52 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
     return True
 
 
-def _has_k4(g: SimpleGraph) -> bool:
-    """Whether K4 is a topological minor, by series-parallel reduction.
+def _rank_three_pattern(comp: SimpleGraph) -> Pattern | None:
+    """K4 when it is a topological minor of comp, else the book when it is, else None.
 
-    Deletes vertices of degree <= 1 and suppresses degree-2 vertices, whose
-    new edge merges with a parallel one through the neighbour sets.  What
-    survives has minimum degree 3 and so holds a K4 subdivision (Dirac
-    1952); each step keeps whether a K4 minor exists, and K4 has maximum
-    degree 3, so minors and topological minors agree.
+    One weighted series-parallel reduction per block of cycle rank 3 or
+    more suppresses degree-2 vertices.  An edge of the block starts at
+    weight 1, and a suppressed vertex joins its two neighbours by weight 1
+    more, so an edge of weight k stands for k internally disjoint paths
+    between its ends with no vertex left inside.  Each step keeps the block
+    2-connected and, an edge counted as its weight, the number of
+    internally disjoint paths between any two vertices left.
+
+    K4 embeds iff some block keeps more than two vertices: they have
+    minimum degree 3 and hold a K4 subdivision (Dirac 1952), each step
+    keeps whether a K4 minor exists (Duffin 1965), and K4 has maximum
+    degree 3, so minors and topological minors agree.  The book embeds iff
+    two vertices s and t are joined by four internally disjoint paths, at
+    most one of them an edge.  So it does when some weight reaches 4, or 3
+    while a third vertex is left, whose paths to both ends (2-connectivity)
+    give the fourth.  Conversely, when s is suppressed before t, one of its
+    two neighbours is t, as any other carries at most one of the paths, and
+    the edge to t has weight 3 or more, reached while the other neighbour
+    was left; when neither is, they are left last, joined by weight 4 or more.
     """
-    nbrs = {v: set(ns) for v, ns in g.adjacency.items()}
-    queue = [v for v, ns in nbrs.items() if len(ns) <= 2]
-    while queue:
-        v = queue.pop()
-        ns = nbrs.get(v)
-        if ns is None or len(ns) > 2:
-            continue
-        del nbrs[v]
-        for w in ns:
-            nbrs[w].discard(v)
-        if len(ns) == 2:
-            x, y = ns
-            nbrs[x].add(y)
-            nbrs[y].add(x)
-        queue.extend(ns)
-    return bool(nbrs)
-
-
-def _has_book(g: SimpleGraph) -> bool:
-    """Whether the book K_{1,1,3} is a topological minor.
-
-    It is iff two vertices have four internally disjoint paths between
-    them: at most one of the paths is an edge, and the other three each
-    carry a page vertex.  Those paths lie in one block, whose cycle rank is
-    then at least 3 and in which both ends have degree at least 4.
-    """
-    for block in _blocks(g):
-        adj: dict[int, list[int]] = {}
+    book = False
+    for block in _blocks(comp):
+        nbrs: dict[int, dict[int, int]] = {}
         for a, b in block:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if len(block) - len(adj) + 1 < 3:
+            nbrs.setdefault(a, {})[b] = 1
+            nbrs.setdefault(b, {})[a] = 1
+        if len(block) - len(nbrs) + 1 < 3:
             continue
-        hubs = sorted(v for v, ns in adj.items() if len(ns) >= 4)
-        for i, s in enumerate(hubs):
-            for t in hubs[i + 1:]:
-                if _disjoint_paths(adj, s, t, 4) == 4:
-                    return True
-    return False
-
-
-def _disjoint_paths(adj: Mapping[int, list[int]], s: int, t: int, want: int) -> int:
-    """Count internally disjoint s-t paths, stopping at want.
-
-    Unit-capacity flow with every vertex v split into an entry 2v and an
-    exit 2v + 1 joined by an arc of capacity 1; each augmentation is one
-    breadth-first search of the residual graph.
-    """
-    cap: dict[tuple[int, int], int] = {}
-    arcs: dict[int, list[int]] = {}
-
-    def arc(a: int, b: int, c: int) -> None:
-        cap[a, b] = c
-        cap[b, a] = 0
-        arcs.setdefault(a, []).append(b)
-        arcs.setdefault(b, []).append(a)
-
-    for v, ns in adj.items():
-        arc(2 * v, 2 * v + 1, want if v in (s, t) else 1)
-        for w in ns:
-            arc(2 * v + 1, 2 * w, 1)
-    source, sink = 2 * s + 1, 2 * t
-    for found in range(want):
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            a = queue.popleft()
-            for b in arcs[a]:
-                if b not in parent and cap[a, b]:
-                    parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
-            return found
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[a, b] -= 1
-            cap[b, a] += 1
-            b = a
-    return want
-
-
-# Exact structural tests run before the search.  The butterfly and the
-# bowtie have none: a qualifying component holding neither K4 nor the
-# book is searched for the butterfly, then the bowtie.
-_MAY_EMBED = {Pattern.K4: _has_k4, Pattern.BOOK: _has_book}
+        queue = [v for v, ns in nbrs.items() if len(ns) == 2]
+        while queue:
+            v = queue.pop()
+            ns = nbrs.get(v)
+            if ns is None or len(ns) != 2:
+                continue
+            del nbrs[v]
+            x, y = ns
+            del nbrs[x][v], nbrs[y][v]
+            weight = nbrs[x][y] = nbrs[y][x] = nbrs[x].get(y, 0) + 1
+            book = book or weight > 3 or weight == 3 and len(nbrs) > 2
+            queue += x, y
+        if len(nbrs) > 2:
+            return Pattern.K4
+    return Pattern.BOOK if book else None
 
 
 def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
@@ -464,14 +414,12 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     which have rank three, and its core degrees name its one pattern: one
     hub of degree 4 (a figure-eight) the butterfly, two hubs of degree 3
     (a dumbbell) the bowtie; no test runs and the search runs once.  On a
-    component of rank three or more, a pattern is skipped when its test in
-    _MAY_EMBED fails, and the search would have rejected it; so
-    find_topological_minor runs once when K4 or the book embeds, and at
-    most twice (a butterfly tried, then the bowtie) otherwise.  Every
-    skipped test and search could only have failed, so the embedding is
-    the one the search of every pattern in order finds first.  A
-    qualifying component above the cap raises HostTooLarge before any test
-    runs.
+    component of rank three or more, one reduction per block names K4 or
+    the book when either embeds, and the search runs once; when neither
+    does, the butterfly is searched for, then the bowtie.  Every skipped
+    search could only have failed, so the embedding is the one the search
+    of every pattern in order finds first.  A qualifying component above
+    the cap raises HostTooLarge before any test runs.
 
     The verdict is cached on g per cap, so a later call with the same cap,
     synthesize_witness's included, returns the same Verdict object without
@@ -499,24 +447,23 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     for comp in connected_components(g):
         # a component is connected, so its cycle rank is |E| - |V| + 1
         rank = len(comp.edges) - len(comp.vertices) + 1
+        if rank < 2 or rank == 2 and (shape := _rank_two_pattern(comp, degree)) is None:
+            continue
+        if len(comp.vertices) > cap:
+            raise HostTooLarge(cap, len(comp.vertices))
         if rank == 2:
-            shape = _rank_two_pattern(comp, degree)
-            patterns = () if shape is None else (shape,)
+            patterns = (shape,)
+        elif (found := _rank_three_pattern(comp)) is not None:
+            patterns = (found,)
         else:
-            patterns = PATTERN_ORDER if rank >= 3 else ()
-        if patterns:
-            if len(comp.vertices) > cap:
-                raise HostTooLarge(cap, len(comp.vertices))
-            for pattern in patterns:
-                may_embed = _MAY_EMBED.get(pattern)
-                if may_embed is not None and not may_embed(comp):
-                    continue
-                emb = find_topological_minor(comp, pattern, cap=cap)
-                if emb is not None:
-                    return Verdict(True, pattern=pattern, embedding=emb)
-            raise AssertionError(
-                f"structural decider found support but no pattern embeds in {comp!r}"
-            )
+            patterns = (Pattern.BUTTERFLY, Pattern.BOWTIE)
+        for pattern in patterns:
+            emb = find_topological_minor(comp, pattern, cap=cap)
+            if emb is not None:
+                return Verdict(True, pattern=pattern, embedding=emb)
+        raise AssertionError(
+            f"structural decider found support but no pattern embeds in {comp!r}"
+        )
     # the excess is at least 2: some component has cycle rank 2 or more
     return Verdict(False, reason=Reason.THETA_CORE)
 

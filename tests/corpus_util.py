@@ -42,7 +42,7 @@ from satminors import (
 )
 from satminors.census import _slot_layout, formula_at
 from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange, _clause
-from satminors.graph import _component_of, connected_components, cut_vertices, two_core
+from satminors.graph import _blocks, _component_of, connected_components, cut_vertices, two_core
 from satminors.minors import (
     PATTERN_ORDER,
     Embedding,
@@ -50,7 +50,6 @@ from satminors.minors import (
     Pattern,
     Reason,
     Verdict,
-    _MAY_EMBED,
     _simple_paths,
     find_topological_minor,
     pattern_graph,
@@ -604,7 +603,9 @@ def decide_support_by_components(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Reference verdict: build every component, then decide each in turn.
 
     The decider that read the 2-core only component by component; a
-    rank-2 component's shape is read as cut_vertices(two_core(comp)).
+    rank-2 component's shape is read as cut_vertices(two_core(comp)).  A
+    component of rank 3 or more is searched for K4, then for the book when
+    the flow finds it, then for the butterfly and the bowtie.
     """
     components = connected_components(g)
     ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
@@ -613,8 +614,9 @@ def decide_support_by_components(g: SimpleGraph, cap: int = 64) -> Verdict:
             if len(comp.vertices) > cap:
                 raise HostTooLarge(cap, len(comp.vertices))
             for pattern in PATTERN_ORDER:
-                may_embed = _MAY_EMBED.get(pattern)
-                if may_embed is not None and not may_embed(comp):
+                if pattern is Pattern.K4 and rank < 3:
+                    continue
+                if pattern is Pattern.BOOK and (rank < 3 or not has_book_by_flow(comp)):
                     continue
                 emb = find_topological_minor(comp, pattern, cap=cap)
                 if emb is not None:
@@ -625,6 +627,71 @@ def decide_support_by_components(g: SimpleGraph, cap: int = 64) -> Verdict:
     if any(r == 1 for r in ranks):
         return Verdict(False, reason=Reason.UNICYCLIC)
     return Verdict(False, reason=Reason.FOREST)
+
+
+def has_book_by_flow(g: SimpleGraph) -> bool:
+    """Reference book test: a flow for every pair of hubs of every block.
+
+    The book K_{1,1,3} is a topological minor iff two vertices have four
+    internally disjoint paths between them: at most one of the paths is an
+    edge, and the other three each carry a page vertex.  Those paths lie in
+    one block, whose cycle rank is then at least 3 and in which both ends
+    have degree at least 4.
+    """
+    for block in _blocks(g):
+        adj: dict[int, list[int]] = {}
+        for a, b in block:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        if len(block) - len(adj) + 1 < 3:
+            continue
+        hubs = sorted(v for v, ns in adj.items() if len(ns) >= 4)
+        for i, s in enumerate(hubs):
+            for t in hubs[i + 1:]:
+                if _disjoint_paths(adj, s, t, 4) == 4:
+                    return True
+    return False
+
+
+def _disjoint_paths(adj: dict[int, list[int]], s: int, t: int, want: int) -> int:
+    """Count internally disjoint s-t paths, stopping at want.
+
+    Unit-capacity flow with every vertex v split into an entry 2v and an
+    exit 2v + 1 joined by an arc of capacity 1; each augmentation is one
+    breadth-first search of the residual graph.
+    """
+    cap: dict[tuple[int, int], int] = {}
+    arcs: dict[int, list[int]] = {}
+
+    def arc(a: int, b: int, c: int) -> None:
+        cap[a, b] = c
+        cap[b, a] = 0
+        arcs.setdefault(a, []).append(b)
+        arcs.setdefault(b, []).append(a)
+
+    for v, ns in adj.items():
+        arc(2 * v, 2 * v + 1, want if v in (s, t) else 1)
+        for w in ns:
+            arc(2 * v + 1, 2 * w, 1)
+    source, sink = 2 * s + 1, 2 * t
+    for found in range(want):
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            a = queue.popleft()
+            for b in arcs[a]:
+                if b not in parent and cap[a, b]:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return found
+        b = sink
+        while b != source:
+            a = parent[b]
+            cap[a, b] -= 1
+            cap[b, a] += 1
+            b = a
+    return want
 
 
 def hung_core_graph(rng: random.Random, core: str, n: int) -> SimpleGraph:
@@ -650,6 +717,11 @@ def hung_core_graph(rng: random.Random, core: str, n: int) -> SimpleGraph:
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     return SimpleGraph.of((ids[u - 1], ids[v - 1]) for u, v in edges)
+
+
+def strip(n: int) -> SimpleGraph:
+    """The triangle strip on 1..n: edges (i, i + 1) and (i, i + 2)."""
+    return SimpleGraph.of([(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)])
 
 
 def ladder(n: int) -> SimpleGraph:

@@ -15,6 +15,7 @@ from corpus_util import (
     frontier_dp_sorted,
     ladder,
     small_frontier_order_by_scan,
+    strip,
 )
 from satminors import SimpleGraph, census, decide_support, fixture_graph, solve
 from satminors.census import _count, _slot_layout, _small_frontier_order, _transitions, formula_at
@@ -70,11 +71,6 @@ def _dumbbell(a: int, p: int, b: int) -> SimpleGraph:
     first, second = list(range(1, a + 1)), list(range(a + p, a + p + b))
     edges = _path(first) + [(1, a)] + _path(list(range(a, a + p + 1))) + _path(second)
     return SimpleGraph.of(edges + [(second[0], second[-1])])
-
-
-def _strip(n: int) -> SimpleGraph:
-    """The triangle strip on 1..n: edges (i, i + 1) and (i, i + 2)."""
-    return SimpleGraph.of(_path(list(range(1, n + 1))) + [(i, i + 2) for i in range(1, n - 1)])
 
 
 def _structural_verdict(g: SimpleGraph) -> bool:
@@ -146,7 +142,7 @@ class TestAgainstSortedDp:
 
     def test_greedy_order_matches_the_scan(self):
         graphs = _random_graphs(300) + [ladder(n) for n in (2, 3, 7, 12, 40, 101)]
-        graphs += [_strip(n) for n in (5, 30)] + [fixture_graph(f"hills:{n}") for n in (3, 9)]
+        graphs += [strip(n) for n in (5, 30)] + [fixture_graph(f"hills:{n}") for n in (3, 9)]
         for g in graphs:
             edges = g.sorted_edges()
             assert _small_frontier_order(edges) == small_frontier_order_by_scan(edges), g
@@ -164,7 +160,7 @@ class TestAgreesWithDecider:
     def test_ladders_and_hills(self):
         hosts = [ladder(n) for n in range(6, 13)] + [_length_ladder(n) for n in range(5, 9)]
         hosts += [fixture_graph(f"hills:{n}") for n in range(6, 16)]
-        hosts += [_strip(n) for n in range(6, 25)]
+        hosts += [strip(n) for n in range(6, 25)]
         for g in hosts:
             self._agree(g, decide_support(g).supports_unsat)
 

@@ -277,6 +277,14 @@ class TestCensusCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("usage error:") and "cap must not be negative: -1" in err
 
+    @pytest.mark.parametrize("cap", ["1_0", "\u0663"])
+    def test_underscores_and_other_digits_in_the_cap_are_usage_errors(self, capsys, tmp_path, cap):
+        # int() reads both; the cap follows the parsers' strict-token rule
+        path = write(tmp_path, "b.graph", edgelist_to_text(fixture_graph("butterfly")))
+        code, out, err = run(capsys, "census", path, "--cap", cap)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error:") and f"invalid int value: {cap!r}" in err
+
 
 class TestMinorCommand:
     def test_found(self, capsys, tmp_path):
@@ -380,6 +388,15 @@ class TestFixtureCommand:
             code, out, err = run(capsys, "fixture", name)
             assert (code, out) == (EXIT_USAGE, "")
             assert err.startswith(f"error: fixture argument in {name!r} exceeds {MAX_FIXTURE_ARG}\n")
+
+    @pytest.mark.parametrize("name", ["hills:1_0", "cn:\u0663", "hills:\uff13"])
+    def test_underscores_and_other_digits_are_unknown(self, capsys, name):
+        # int() reads them; a fixture argument follows the parsers' strict-token rule
+        with pytest.raises(UnknownFixture, match="bad fixture argument"):
+            fixture_graph(name)
+        code, out, err = run(capsys, "fixture", name)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: bad fixture argument in {name!r}\n")
 
 
 class TestUsage:

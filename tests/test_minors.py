@@ -5,15 +5,18 @@ import pytest
 
 from corpus_util import (
     acceptance_corpus,
+    atlas_graphs,
     ci_subsample,
     decide_support_by_components,
     decide_support_by_search,
     find_topological_minor_unpruned,
+    has_book_by_flow,
     hung_core_graph,
     ladder,
     random_sparse_graph,
     random_subdivision,
     simple_paths_recursive,
+    strip,
 )
 from satminors import (
     Embedding,
@@ -37,8 +40,7 @@ from satminors import minors
 from satminors.minors import (
     PATTERN_ORDER,
     HostTooLarge,
-    _has_book,
-    _has_k4,
+    _rank_three_pattern,
     _rank_two_pattern,
 )
 
@@ -245,6 +247,14 @@ class TestDecideSupportScaling:
         assert verdict.pattern is Pattern.BUTTERFLY
         assert verdict.embedding == find_topological_minor(g, Pattern.BUTTERFLY)
 
+    def test_strip_decided_without_a_flow(self):
+        g = strip(64)
+        start = time.perf_counter()
+        verdict = decide_support(g)
+        assert time.perf_counter() - start < 0.05
+        assert verdict.pattern is Pattern.BUTTERFLY
+        assert verdict.embedding == find_topological_minor(g, Pattern.BUTTERFLY)
+
 
 def figure_eight(k: int) -> SimpleGraph:
     """Two k-cycles sharing vertex 1, labelled around each cycle in turn."""
@@ -362,14 +372,37 @@ def subdivided_books() -> list[SimpleGraph]:
     return graphs
 
 
+def has_k4_by_treewidth(g: SimpleGraph) -> bool:
+    """Whether K4 is a minor of g, by networkx's min-degree elimination.
+
+    A graph has no K4 minor iff its treewidth is at most 2.  Such a graph
+    always has a vertex of degree at most 2, and eliminating it is a
+    contraction, so the min-degree order then has width at most 2; every
+    order has width 3 or more when the treewidth is.
+    """
+    import networkx as nx
+    from networkx.algorithms.approximation import treewidth_min_degree
+
+    return treewidth_min_degree(nx.Graph(sorted(g.edges)))[0] > 2
+
+
+def relabelled(rng: random.Random, g: SimpleGraph) -> SimpleGraph:
+    """A copy of g with its vertex ids shuffled among themselves."""
+    ids = sorted(g.vertices)
+    image = dict(zip(ids, rng.sample(ids, len(ids))))
+    return SimpleGraph.of(((image[u], image[v]) for u, v in g.edges),
+                          isolated=image.values())
+
+
 class TestStructuralExistence:
-    """_has_k4 and _has_book answer exactly as the search does."""
+    """_rank_three_pattern names K4, else the book, exactly when the search
+    finds it, and agrees with the flow and a treewidth test on larger graphs."""
 
     def assert_matches_search(self, graphs) -> tuple[int, int]:
-        k4 = [_has_k4(g) for g in graphs]
-        book = [_has_book(g) for g in graphs]
-        assert k4 == [find_topological_minor(g, Pattern.K4) is not None for g in graphs]
-        assert book == [find_topological_minor(g, Pattern.BOOK) is not None for g in graphs]
+        k4 = [find_topological_minor(g, Pattern.K4) is not None for g in graphs]
+        book = [find_topological_minor(g, Pattern.BOOK) is not None for g in graphs]
+        expected = [Pattern.K4 if a else Pattern.BOOK if b else None for a, b in zip(k4, book)]
+        assert [_rank_three_pattern(g) for g in graphs] == expected
         return sum(k4), sum(book)
 
     def test_acceptance_corpus(self):
@@ -397,6 +430,36 @@ class TestStructuralExistence:
         graphs = [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(100)]
         k4, book = self.assert_matches_search(graphs)
         assert k4 > 10 and book > 5
+
+    def test_matches_the_flow_on_larger_graphs(self):
+        # the atlas, random sparse graphs on 8-30 vertices, strips and
+        # subdivided patterns, then each relabelled, which reorders the reduction
+        rng = random.Random(20261104)
+        graphs = atlas_graphs() + [strip(n) for n in range(5, 41)]
+        graphs += [random_sparse_graph(rng, 8 + k % 23, 2 + k % 5) for k in range(2000)]
+        graphs += [random_subdivision(rng, sorted(pattern_graph(p).edges), rng.randint(8, 30))
+                   for p in PATTERN_ORDER for _ in range(50)]
+        graphs += [relabelled(rng, g) for g in graphs]
+        got = [_rank_three_pattern(g) for g in graphs]
+        assert got == [
+            Pattern.K4 if has_k4_by_treewidth(g) else Pattern.BOOK if has_book_by_flow(g) else None
+            for g in graphs
+        ]
+        assert min(got.count(p) for p in (Pattern.K4, Pattern.BOOK, None)) > 300
+
+    def test_linear_on_strips(self):
+        # a strip is one outerplanar block, all but four of its vertices of
+        # degree 4: no K4 and no book, and about n * n / 2 pairs of hubs
+        seconds = []
+        for g in (strip(2000), strip(4000)):
+            assert _rank_three_pattern(g) is None
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                _rank_three_pattern(g)
+                runs.append(time.perf_counter() - start)
+            seconds.append(min(runs))
+        assert seconds[1] < 3 * seconds[0]
 
 
 class TestSearchOnce:
@@ -449,7 +512,7 @@ class TestSearchOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("ran before the cap check")
 
-        monkeypatch.setattr(minors, "_MAY_EMBED", dict.fromkeys(PATTERN_ORDER, refuse))
+        monkeypatch.setattr(minors, "_rank_three_pattern", refuse)
         monkeypatch.setattr(minors, "find_topological_minor", refuse)
         with pytest.raises(HostTooLarge):
             decide_support(g)
@@ -733,10 +796,7 @@ class TestRankTwoGate:
                 self._refuse()
             return search(host, pattern, cap=cap)
 
-        monkeypatch.setattr(minors, "_has_k4", self._refuse)
-        monkeypatch.setattr(minors, "_has_book", self._refuse)
-        monkeypatch.setitem(minors._MAY_EMBED, Pattern.K4, self._refuse)
-        monkeypatch.setitem(minors._MAY_EMBED, Pattern.BOOK, self._refuse)
+        monkeypatch.setattr(minors, "_rank_three_pattern", self._refuse)
         monkeypatch.setattr(minors, "find_topological_minor", guarded)
         got = [decide_support(g) for g in graphs]
         assert got == expected
