@@ -7,14 +7,21 @@ lexicographically first unsatisfiable example, which is independently
 solver-checked.  Polarity vectors are indexed with the smallest edge as the
 most significant digit and codes ordered PP, PN, NP, NN.
 
-Flipping one variable's sign in every clause maps the sentences one to one
-and keeps satisfiability, so they fall into orbits of 2**V, V the vertices
-with an edge.  Only the sentence of each orbit with every literal positive
-at its vertex's first edge in the order walked is visited; the first
-unsatisfiable one is among them, as flipping a vertex negative at its first
-edge gives a smaller one (lex-leader symmetry breaking, Crawford et al. 1996).
+A clause on a leaf's edge is satisfied by the leaf's literal whatever the
+rest, so a sentence is unsatisfiable iff its clauses on the 2-core are, and
+the counts are the core's times 4**L, L the edges the leaf peel removes; the
+first unsatisfiable example is the core's, with PP on every peeled edge.
+A forest is answered without a count.
 
-The count is a dynamic program over the edges and never consults the
+Flipping one variable's sign in every clause maps the core's sentences one
+to one and keeps satisfiability, so they fall into orbits of 2**V, V the
+core's vertices.  Only the sentence of each orbit with every literal
+positive at its vertex's first edge in the order walked is visited; the
+first unsatisfiable one is among them, as flipping a vertex negative at its
+first edge gives a smaller one (lex-leader symmetry breaking, Crawford et
+al. 1996).
+
+The count is a dynamic program over the core's edges and never consults the
 structural theorem.  After a prefix of edges, all that matters for the rest
 is the set of truth assignments to the frontier (the vertices with both
 processed and unprocessed edges) that extend to a model of the prefix's
@@ -92,10 +99,14 @@ class CensusReport(_Value):
         object.__setattr__(self, "example_unsat", example_unsat)
 
 
+# the signs of u and v in a clause on (u, v), by polarity code
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 def formula_at(edges: list[tuple[int, int]], index: int) -> Cnf2:
-    """Decode one polarity vector into its sentence."""
-    shifts = range(2 * len(edges) - 2, -1, -2)
-    return Cnf2.of([EdgePolarity(index >> k & 3).clause(u, v) for (u, v), k in zip(edges, shifts)])
+    """Decode one polarity vector on canonical edges, u < v, into its sentence."""
+    signs = [_SIGNS[index >> k & 3] for k in range(2 * len(edges) - 2, -1, -2)]
+    return Cnf2.of([tuple.__new__(Clause, (a * u, b * v)) for (u, v), (a, b) in zip(edges, signs)])
 
 
 def _slot_layout(edges: list[tuple[int, int]]):
@@ -260,21 +271,31 @@ def census(g: SimpleGraph, cap: int = 10, threads: int = 1) -> CensusReport:
     n_edges = len(edges)
     if n_edges > cap:
         raise TooManyEdges(cap, n_edges)
-    layout = counted = _slot_layout(edges)
+    degree = g._core_degrees()
+    core = [e for e in edges if degree[e[0]] and degree[e[1]]]
+    if not core:
+        return CensusReport(g, 4**n_edges, 4**n_edges, 0, None)
+    layout = counted = _slot_layout(core)
     if layout[1] > _NARROW:
-        greedy = _slot_layout(_small_frontier_order(edges))
+        greedy = _slot_layout(_small_frontier_order(core))
         if greedy[1] < layout[1]:
             counted = greedy
     transitions = _transitions(counted)
-    sat, unsat = _count(transitions)
+    unsat = _count(transitions)[1] * 4 ** (n_edges - len(core))
     example: Cnf2 | None = None
     if unsat:
         if counted is not layout:
             transitions = _transitions(layout)
-        example = formula_at(edges, _first_unsat(transitions))
+        first, k, index = _first_unsat(transitions), 2 * len(core), 0
+        for u, v in edges:  # the core's codes at its edges' places, PP (0) on every peeled edge
+            index <<= 2
+            if degree[u] and degree[v]:
+                k -= 2
+                index |= first >> k & 3
+        example = formula_at(edges, index)
         if solve(example).satisfiable:
             raise AssertionError("census found an example the solver calls satisfiable")
-    return CensusReport(g, 4**n_edges, sat, unsat, example)
+    return CensusReport(g, 4**n_edges, 4**n_edges - unsat, unsat, example)
 
 
 def supports_unsat_bruteforce(g: SimpleGraph, cap: int = 10) -> bool:

@@ -96,16 +96,19 @@ def _sniff_graph_or_cnf(text: str) -> SimpleGraph | Cnf2:
     return parse_edgelist(text)
 
 
-def _cap(text: str) -> int:
-    try:
-        if _lenient(text):
-            raise ValueError
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"cap must not be negative: {cap}")
-    return cap
+def _count_type(name: str):
+    """The type of an option holding a count: ASCII digits, at least 0."""
+    def read(text: str) -> int:
+        try:
+            if _lenient(text):
+                raise ValueError
+            count = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if count < 0:
+            raise argparse.ArgumentTypeError(f"{name} must not be negative: {count}")
+        return count
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,15 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="exhaustively classify all sentences a graph supports")
     p.add_argument("input", nargs="?", help="edge-list file (default stdin)")
-    p.add_argument("--cap", type=_cap, default=10, help="edge-count cap (default 10)")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--cap", type=_count_type("cap"), default=10, help="edge-count cap (default 10)")
+    p.add_argument("--threads", type=_count_type("threads"), default=1,
                    help="accepted for compatibility; no effect, the census runs in-process")
     p.add_argument("--record", action="store_true", help="single-line machine-readable record")
 
     p = sub.add_parser("minor", help="search for one forbidden pattern in a host graph")
     p.add_argument("pattern", help="k4, book (k113), butterfly (v-config), bowtie (p-config)")
     p.add_argument("input", nargs="?", help="edge-list file (default stdin)")
-    p.add_argument("--cap", type=_cap, default=64, help="host vertex cap (default 64)")
+    p.add_argument("--cap", type=_count_type("cap"), default=64,
+                   help="host vertex cap (default 64)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fixture", help="emit a named fixture graph as edge-list text")

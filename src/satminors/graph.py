@@ -7,9 +7,9 @@ Edge contraction is only allowed at edges not contained in any triangle, so
 it never creates a parallel edge and simple graphs stay simple.
 
 A graph builds its neighbour lists once, in no fixed order.  The component
-labelling, two_core and decide_support's leaf peel, whose results do not
-depend on that order, read them as they are; every other pass reads the
-public adjacency, the same lists sorted.
+labelling and the leaf peel (_core_degrees, read by two_core, decide_support
+and census), whose results do not depend on that order, read them as they
+are; every other pass reads the public adjacency, the same lists sorted.
 """
 
 from __future__ import annotations
@@ -106,6 +106,25 @@ class SimpleGraph(_Value):
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         return {v: tuple(sorted(ns)) for v, ns in self._neighbours.items()}
+
+    def _core_degrees(self) -> dict[int, int]:
+        """Every vertex's degree in the 2-core, 0 for a vertex peeled away.
+
+        Leaves are peeled to a fixpoint; a vertex keeps the count of its
+        neighbours still in the graph until it is peeled.
+        """
+        nbrs = self._neighbours
+        degree = {v: len(ns) for v, ns in nbrs.items()}
+        leaves = [v for v, d in degree.items() if d == 1]
+        while leaves:
+            v = leaves.pop()
+            degree[v] = 0
+            for w in nbrs[v]:
+                if degree[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        leaves.append(w)
+        return degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -241,22 +260,9 @@ def cycle_rank(g: SimpleGraph) -> int:
 
 def two_core(g: SimpleGraph) -> SimpleGraph:
     """Maximal subgraph of minimum degree two: delete degree <= 1 vertices to a fixpoint."""
-    adj = g._neighbours
-    alive = set(adj)
-    degrees = {v: len(ns) for v, ns in adj.items()}
-    queue = [v for v, d in degrees.items() if d <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.remove(v)
-        for w in adj[v]:
-            if w in alive:
-                degrees[w] -= 1
-                if degrees[w] <= 1:
-                    queue.append(w)
-    edges = frozenset(e for e in g.edges if e[0] in alive and e[1] in alive)
-    return SimpleGraph._trusted(frozenset(alive), edges)
+    degree = g._core_degrees()
+    edges = frozenset(e for e in g.edges if degree[e[0]] and degree[e[1]])
+    return SimpleGraph._trusted(frozenset(v for v, d in degree.items() if d), edges)
 
 
 def cut_vertices(g: SimpleGraph) -> set[int]:

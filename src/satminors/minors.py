@@ -9,8 +9,9 @@ when it is exactly two and the 2-core has a cut vertex (a figure-eight or
 dumbbell core); a 2-connected rank-two core is a theta graph and supports
 only satisfiable sentences.
 
-The verdict starts from one leaf peel of the whole graph, which leaves its
-2-core's degrees.  Their excess X = sum(deg - 2) over the core is
+The verdict starts from one leaf peel of the whole graph
+(SimpleGraph._core_degrees, the peel the census also reads), which leaves
+its 2-core's degrees.  Their excess X = sum(deg - 2) over the core is
 2 * sum(rank - 1) over the core's components, because the degrees sum to
 twice the edges and a component has |E| - |V| = rank - 1.  Peeling a leaf
 keeps its component's rank and a tree vanishes, so those components are
@@ -438,7 +439,7 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
 
 def _decide(g: SimpleGraph, cap: int) -> Verdict:
     """The verdict of decide_support, computed afresh."""
-    degree = _core_degrees(g)
+    degree = g._core_degrees()
     excess = sum(d - 2 for d in degree.values() if d)
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
@@ -468,26 +469,6 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     return Verdict(False, reason=Reason.THETA_CORE)
 
 
-def _core_degrees(g: SimpleGraph) -> dict[int, int]:
-    """Every vertex's degree in the 2-core of g, 0 for a vertex peeled away.
-
-    Leaves are peeled to a fixpoint; a vertex keeps the count of its
-    neighbours still in the graph until it is peeled.
-    """
-    nbrs = g._neighbours
-    degree = {v: len(ns) for v, ns in nbrs.items()}
-    leaves = [v for v, d in degree.items() if d == 1]
-    while leaves:
-        v = leaves.pop()
-        degree[v] = 0
-        for w in nbrs[v]:
-            if degree[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    leaves.append(w)
-    return degree
-
-
 def _rank_two_pattern(comp: SimpleGraph, degree: dict[int, int] | None = None) -> Pattern | None:
     """The one pattern the 2-core of comp holds, when its excess is 2.
 
@@ -505,7 +486,7 @@ def _rank_two_pattern(comp: SimpleGraph, degree: dict[int, int] | None = None) -
     cut_vertices(two_core(comp)) is not empty.
     """
     if degree is None:
-        degree = _core_degrees(comp)
+        degree = comp._core_degrees()
     hubs = [v for v in comp.vertices if degree[v] > 2]
     if len(hubs) == 1:
         return Pattern.BUTTERFLY

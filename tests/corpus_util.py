@@ -40,9 +40,9 @@ from satminors import (
     solve,
     substitute,
 )
-from satminors.census import _slot_layout, formula_at
+from satminors.census import EdgePolarity, _slot_layout
 from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange, _clause
-from satminors.graph import _blocks, _component_of, connected_components, cut_vertices, two_core
+from satminors.graph import _blocks, _component_of, connected_components, cut_vertices
 from satminors.minors import (
     PATTERN_ORDER,
     Embedding,
@@ -198,11 +198,17 @@ def brute_force_satisfiable(s: Cnf2) -> bool:
     return False
 
 
+def formula_at_by_polarity(edges: list[tuple[int, int]], index: int) -> Cnf2:
+    """Reference decoder: one EdgePolarity clause per edge, most significant first."""
+    shifts = range(2 * len(edges) - 2, -1, -2)
+    return Cnf2.of([EdgePolarity(index >> k & 3).clause(u, v) for (u, v), k in zip(edges, shifts)])
+
+
 def _count_solver(edges: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int | None]:
     sat = 0
     first_unsat: int | None = None
     for index in range(lo, hi):
-        if solve(formula_at(edges, index)).satisfiable:
+        if solve(formula_at_by_polarity(edges, index)).satisfiable:
             sat += 1
         elif first_unsat is None:
             first_unsat = index
@@ -413,7 +419,7 @@ def census_by_solver(g: SimpleGraph) -> CensusReport:
     edges = g.sorted_edges()
     total = 4 ** len(edges)
     sat, first_unsat = _count_solver(edges, 0, total)
-    example = None if first_unsat is None else formula_at(edges, first_unsat)
+    example = None if first_unsat is None else formula_at_by_polarity(edges, first_unsat)
     return CensusReport(g, total, sat, total - sat, example)
 
 
@@ -578,12 +584,22 @@ def check_model_by_literals(s: Cnf2, m) -> bool:
     return True
 
 
+def two_core_by_networkx(g: SimpleGraph) -> SimpleGraph:
+    """Reference 2-core: networkx's k-core with k = 2."""
+    import networkx as nx
+
+    host = nx.Graph(list(g.edges))
+    host.add_nodes_from(g.vertices)
+    core = nx.k_core(host, 2)
+    return SimpleGraph(core.nodes, core.edges)
+
+
 def decide_support_by_search(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Reference verdict: search every pattern of rank at most the component's, in order."""
     components = connected_components(g)
     ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
     for comp, rank in zip(components, ranks):
-        if rank >= 3 or (rank == 2 and cut_vertices(two_core(comp))):
+        if rank >= 3 or (rank == 2 and cut_vertices(two_core_by_networkx(comp))):
             for pattern in PATTERN_ORDER:
                 pg = pattern_graph(pattern)
                 if len(pg.edges) - len(pg.vertices) + 1 > rank:
@@ -603,14 +619,15 @@ def decide_support_by_components(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Reference verdict: build every component, then decide each in turn.
 
     The decider that read the 2-core only component by component; a
-    rank-2 component's shape is read as cut_vertices(two_core(comp)).  A
-    component of rank 3 or more is searched for K4, then for the book when
-    the flow finds it, then for the butterfly and the bowtie.
+    rank-2 component's shape is read as
+    cut_vertices(two_core_by_networkx(comp)).  A component of rank 3 or
+    more is searched for K4, then for the book when the flow finds it, then
+    for the butterfly and the bowtie.
     """
     components = connected_components(g)
     ranks = [len(c.edges) - len(c.vertices) + 1 for c in components]
     for comp, rank in zip(components, ranks):
-        if rank >= 3 or (rank == 2 and cut_vertices(two_core(comp))):
+        if rank >= 3 or (rank == 2 and cut_vertices(two_core_by_networkx(comp))):
             if len(comp.vertices) > cap:
                 raise HostTooLarge(cap, len(comp.vertices))
             for pattern in PATTERN_ORDER:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_util import acceptance_corpus, atlas_graphs, census_by_solver, tree_corpus
+from corpus_util import (
+    acceptance_corpus,
+    atlas_graphs,
+    census_by_solver,
+    formula_at_by_polarity,
+    frontier_dp_sorted,
+    tree_corpus,
+    two_core_by_networkx,
+)
 from satminors import (
     Clause,
     CensusReport,
@@ -81,6 +90,16 @@ class TestFormulaAt:
         # first edge is the most significant digit
         assert formula_at(edges, 4).clauses == (Clause.of(1, -2), Clause.of(1, 3))
         assert formula_at(edges, 3).clauses == (Clause.of(1, 2), Clause.of(-1, -3))
+
+    def test_matches_the_polarity_decoding_at_every_index(self):
+        # edges sharing vertices, so a vertex's literal varies from clause to clause
+        edge_lists = [[(1, 2)], [(1, 2), (2, 3)], [(1, 2), (1, 3), (2, 3)],
+                      [(1, 3), (2, 3), (3, 4), (3, 5)], [(1, 2), (1, 4), (2, 3), (3, 4)],
+                      [(2, 5), (3, 5), (4, 5), (3, 7), (5, 7)]]
+        for edges in edge_lists:
+            for index in range(4 ** len(edges)):
+                got, want = formula_at(edges, index), formula_at_by_polarity(edges, index)
+                assert got == want and got.clauses == want.clauses, (edges, index)
 
 
 class TestCensus:
@@ -170,6 +189,131 @@ class TestCensus:
         g = fixture_graph("c3")
         with pytest.raises(ValueError, match="do not add up"):
             CensusReport(g, 64, 63, 0, None)
+
+
+CORES = {name: sorted(fixture_graph(name).edges) for name in ("butterfly", "bowtie", "k4", "book")}
+
+
+def hung(rng: random.Random, core: list[tuple[int, int]], max_edges: int) -> SimpleGraph:
+    """core with random trees hung on it, at most max_edges edges in all, ids shuffled."""
+    edges = list(core)
+    top = max(v for e in core for v in e)
+    for v in range(top + 1, top + 1 + rng.randint(1, max_edges - len(core))):
+        edges.append((rng.randrange(1, v), v))
+    ids = list(range(1, v + 1))
+    rng.shuffle(ids)
+    return SimpleGraph.of((ids[a - 1], ids[b - 1]) for a, b in edges)
+
+
+def scattered(rng: random.Random, max_edges: int) -> SimpleGraph:
+    """Two to four small components, some cyclic, and isolated vertices, on shuffled ids."""
+    ids = list(range(1, 30))
+    rng.shuffle(ids)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(2, 4)):
+        room = max_edges - len(edges)
+        if room < 1:
+            break
+        if room >= 7 and rng.random() < 0.5:
+            part = rng.choice(list(CORES.values()))
+        elif room >= 3 and rng.random() < 0.5:
+            part = [(1, 2), (2, 3), (1, 3)]
+        else:
+            part = [(rng.randrange(1, v), v) for v in range(2, 2 + rng.randint(1, min(room, 3)))]
+        base = 1 + max((v for e in edges for v in e), default=0)
+        edges += [(a + base, b + base) for a, b in part]
+    vertices = {v for e in edges for v in e} | set(range(1, rng.randint(1, 5) + 1))
+    return SimpleGraph.of([(ids[a - 1], ids[b - 1]) for a, b in edges],
+                          isolated=[ids[v - 1] for v in vertices])
+
+
+def solver_report(g: SimpleGraph) -> tuple:
+    """(sat, unsat, example) from one solver run per sentence on g."""
+    r = census_by_solver(g)
+    return r.sat_count, r.unsat_count, r.example_unsat
+
+
+def sorted_dp_report(g: SimpleGraph) -> tuple:
+    """(sat, unsat, example) from the sorted-order DP over every edge, leaves included."""
+    edges = g.sorted_edges()
+    sat, unsat, first = frontier_dp_sorted(edges)
+    return sat, unsat, None if first is None else formula_at_by_polarity(edges, first)
+
+
+class TestCoreCensus:
+    """census counts the 2-core only: unsat(g) = 4**L * unsat(core), L the peeled
+    edges, and the example is the core's with PP on every peeled edge."""
+
+    @staticmethod
+    def report(g: SimpleGraph) -> tuple:
+        r = census(g, cap=len(g.edges))
+        assert r.total == 4 ** len(g.edges)
+        return r.sat_count, r.unsat_count, r.example_unsat
+
+    def test_atlas_up_to_ten_edges(self):
+        graphs = [g for g in atlas_graphs() if len(g.edges) <= 10]
+        assert len(graphs) == 705
+        for g in graphs:
+            assert self.report(g) == sorted_dp_report(g), g
+        for g in graphs:
+            if len(g.edges) <= 4:
+                assert self.report(g) == solver_report(g), g
+
+    def test_cores_with_trees_hung_on(self):
+        rng = random.Random(20261020)
+        hosts = [(name, hung(rng, core, 10)) for name, core in CORES.items() for _ in range(25)]
+        for _, g in hosts:
+            assert self.report(g) == sorted_dp_report(g), g
+            peeled = g.edges - two_core_by_networkx(g).edges
+            # the example is PP, the clause (u, v), on every peeled edge
+            assert peeled and peeled <= set(census(g).example_unsat.clauses), g
+        # per core, its first host of seven edges against the solver (16384 solves
+        # each); the bowtie and the book have seven edges bare
+        small = {}
+        for name, g in hosts:
+            if len(g.edges) == 7:
+                small.setdefault(name, g)
+        assert set(small) == {"butterfly", "k4"}
+        for g in small.values():
+            assert self.report(g) == solver_report(g), g
+
+    def test_several_components_and_isolated_vertices(self):
+        rng = random.Random(20261021)
+        graphs = [scattered(rng, 10) for _ in range(150)]
+        assert sum(census(g).unsat_count > 0 for g in graphs) > 20
+        assert sum(len(g.vertices) > len({v for e in g.edges for v in e}) for g in graphs) > 100
+        for g in graphs:
+            assert self.report(g) == sorted_dp_report(g), g
+
+    def test_trees_never_reach_the_dp(self, monkeypatch):
+        census_module = sys.modules["satminors.census"]
+
+        def refuse(*args):
+            raise AssertionError("a forest reached the frontier DP")
+
+        for name in ("_slot_layout", "_small_frontier_order", "_transitions", "_count",
+                     "_first_unsat"):
+            monkeypatch.setattr(census_module, name, refuse)
+        trees = tree_corpus(10)
+        assert max(len(t.edges) for t in trees) == 10
+        forests = [SimpleGraph(t.vertices | {99}, t.edges) for t in trees]
+        forests.append(SimpleGraph.of([(1, 2), (3, 4), (4, 5)], isolated=[6]))
+        for g in trees + forests:
+            r = census(g)
+            assert (r.total, r.sat_count, r.unsat_count, r.example_unsat) == (
+                4 ** len(g.edges), 4 ** len(g.edges), 0, None)
+        monkeypatch.undo()
+        for g in trees:
+            assert self.report(g) == sorted_dp_report(g), g
+
+    def test_cap_counts_every_edge(self):
+        g = SimpleGraph.of(CORES["butterfly"] + [(5, 6), (6, 7)])
+        with pytest.raises(TooManyEdges) as refused:
+            census(g, cap=7)
+        assert (refused.value.cap, refused.value.count) == (7, 8)
+        path = SimpleGraph.of([(i, i + 1) for i in range(1, 12)])
+        with pytest.raises(TooManyEdges):
+            census(path)
 
 
 class TestSupportsUnsatBruteforce:

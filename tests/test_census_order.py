@@ -186,13 +186,14 @@ class TestAgreesWithDecider:
 
 
 def test_first_example_deeper_than_the_recursion_limit():
-    # A 1100-edge path with ascending ids, then a butterfly on higher ids:
-    # every path edge of the first unsatisfiable sentence is PP, so the
-    # search descends 1100 levels before its first empty set.
-    chain = list(range(1, 1102))
+    # A 1101-edge cycle with ascending ids, then a butterfly on higher ids:
+    # every cycle edge of the first unsatisfiable sentence is PP, so the
+    # search descends 1101 levels before its first empty set.  A path would
+    # be peeled away before the search.
+    cycle = _path(list(range(1, 1102))) + [(1, 1101)]
     butterfly = [(1102, 1103), (1102, 1104), (1103, 1104), (1104, 1105), (1104, 1106), (1105, 1106)]
-    g = SimpleGraph.of(_path(chain) + butterfly)
+    g = SimpleGraph.of(cycle + butterfly)
     report = census(g, cap=1200)
     assert report.unsat_count > 0
     assert not solve(report.example_unsat).satisfiable
-    assert report.example_unsat.clauses[:1100] == formula_at(_path(chain), 0).clauses
+    assert report.example_unsat.clauses[:1101] == formula_at(sorted(cycle), 0).clauses

@@ -285,6 +285,23 @@ class TestCensusCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("usage error:") and f"invalid int value: {cap!r}" in err
 
+    @pytest.mark.parametrize("threads, message", [
+        ("1_0", "invalid int value: '1_0'"), ("٣", "invalid int value: '٣'"),
+        ("３", "invalid int value: '３'"), ("-1", "threads must not be negative: -1"),
+    ])
+    def test_threads_follow_the_caps_rule(self, capsys, tmp_path, threads, message):
+        # --threads has no effect, but it is read as strictly as --cap
+        path = write(tmp_path, "e.graph", "1 2\n")
+        code, out, err = run(capsys, "census", path, "--threads", threads)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error:") and message in err
+
+    def test_threads_accepts_plain_counts(self, capsys, tmp_path):
+        path = write(tmp_path, "e.graph", "1 2\n")
+        for threads in ("0", "1", "8"):
+            assert run(capsys, "census", path, "--threads", threads)[:2] == (
+                EXIT_OK, "4 total, 4 sat, 0 unsat\n")
+
 
 class TestMinorCommand:
     def test_found(self, capsys, tmp_path):

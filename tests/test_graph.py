@@ -13,6 +13,7 @@ from corpus_util import (
     cycle_rank_by_components,
     random_cnf,
     support_graph_by_multigraph,
+    two_core_by_networkx,
 )
 from satminors import (
     Cnf2,
@@ -235,6 +236,17 @@ class TestTwoCore:
             assert two_core(core) == core
             assert is_subgraph(core, g)
             assert all(core.degree(v) >= 2 for v in core.vertices)
+
+    def test_matches_networkx_k_core(self):
+        # the peel decide_support and census read, against an independent one
+        rng = random.Random(34)
+        graphs = [random_graph(rng, 9) for _ in range(300)]
+        graphs += [scattered_graph(rng) for _ in range(20)]
+        for g in graphs:
+            assert two_core(g) == two_core_by_networkx(g), g
+            degree = g._core_degrees()
+            core = two_core_by_networkx(g)
+            assert degree == {v: core.degree(v) if v in core.vertices else 0 for v in g.vertices}
 
 
 class TestCutVertices:

@@ -17,6 +17,7 @@ from corpus_util import (
     random_subdivision,
     simple_paths_recursive,
     strip,
+    two_core_by_networkx,
 )
 from satminors import (
     Embedding,
@@ -636,7 +637,7 @@ def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -
 
 
 class TestRankTwoShape:
-    """_rank_two_pattern names a pattern exactly when cut_vertices(two_core(c)) is not empty.
+    """_rank_two_pattern names a pattern exactly when the 2-core of c has a cut vertex.
 
     A figure-eight core names the butterfly and a dumbbell the bowtie.
     """
@@ -648,7 +649,7 @@ class TestRankTwoShape:
         comps = [c for g in acceptance_corpus() for c in connected_components(g)]
         rank_two = [c for c in comps if len(c.edges) - len(c.vertices) + 1 == 2]
         got = [_rank_two_pattern(c) is not None for c in rank_two]
-        assert got == [bool(cut_vertices(two_core(c))) for c in rank_two]
+        assert got == [bool(cut_vertices(two_core_by_networkx(c))) for c in rank_two]
         assert sum(got) > 20 and len(got) - sum(got) > 100
 
     @pytest.mark.parametrize("n", [10, 30, 100, 400, 1500])
@@ -658,7 +659,7 @@ class TestRankTwoShape:
             for _ in range(4):
                 g = rank_two_graph(rng, shape, n)
                 assert len(g.vertices) == n and len(g.edges) == n + 1
-                assert bool(cut_vertices(two_core(g))) is (expected is not None), (shape, g)
+                assert bool(cut_vertices(two_core_by_networkx(g))) is (expected is not None), (shape, g)
                 assert _rank_two_pattern(g) is expected, (shape, g)
 
     def test_bare_cores(self):

@@ -55,8 +55,9 @@ class TestImportFootprint:
         assert loaded.isdisjoint({"graph", "minors", "witness", "simplify", "fixtures"})
 
     def test_census_loads_no_decider_witness_or_simplifier(self, tmp_path):
+        # a butterfly with a tail, so the census peels leaves before it counts
         path = tmp_path / "b.graph"
-        path.write_text("1 2\n1 3\n2 3\n3 4\n3 5\n4 5\n")
+        path.write_text("1 2\n1 3\n2 3\n3 4\n3 5\n4 5\n5 6\n6 7\n")
         loaded = loaded_by_main("census", str(path))
         assert "graph" in loaded
         assert loaded.isdisjoint({"minors", "witness", "simplify", "fixtures"})
