@@ -17,19 +17,21 @@ twice the edges and a component has |E| - |V| = rank - 1.  Peeling a leaf
 keeps its component's rank and a tree vanishes, so those components are
 the graph's components of rank one or more.  X = 0 leaves forests and
 unicyclic graphs; X = 2 one component of rank two beside cycles, whose
-shape the peeled degrees give.  Only a larger X, or a qualifying rank-two
-core, goes on to build the components, test their structure and search.
+shape the peeled degrees and one walk of its hubs' chains give.  Only a
+larger X, or a qualifying rank-two core, goes on to build the components.
 
-The evidence comes from one run of a generic subdivision-embedding search,
-which returns a checkable embedding.  Which pattern to search for is
-settled by structure, not by search.  K4 and the book have cycle rank 3,
+The evidence is a checkable embedding.  K4 and the book have cycle rank 3,
 so a qualifying rank-two component holds neither, and its core names the
 one pattern it holds: a figure-eight the butterfly, a dumbbell the bowtie
-(its two cycles are disjoint, so no butterfly).  In a component of rank
-three or more, one weighted series-parallel reduction per block decides
-both: K4 embeds iff some block keeps more than two vertices (Duffin 1965),
-and the book iff two vertices are joined by four internally disjoint
-paths, which the edge weights count.
+(its two cycles are disjoint, so no butterfly).  Its embedding is read off
+the core's two loops in linear time, and it is the one the generic
+subdivision-embedding search would return; no search runs.  In a
+component of rank three or more, one weighted series-parallel reduction
+per block decides which pattern to search for: K4 embeds iff some block
+keeps more than two vertices (Duffin 1965), and the book iff two vertices
+are joined by four internally disjoint paths, which the edge weights
+count.  The search then runs once, or for the butterfly and the bowtie
+when neither embeds.
 
 A graph is decided at most once per cap: the verdict is cached on the
 graph instance, the same Verdict object is returned on every later call,
@@ -410,17 +412,19 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     produced as evidence (first qualifying component, patterns in fixed
     order).
 
-    The pattern to search for is chosen by structure, not by search.  A
-    qualifying component of cycle rank two holds neither K4 nor the book,
-    which have rank three, and its core degrees name its one pattern: one
-    hub of degree 4 (a figure-eight) the butterfly, two hubs of degree 3
-    (a dumbbell) the bowtie; no test runs and the search runs once.  On a
-    component of rank three or more, one reduction per block names K4 or
-    the book when either embeds, and the search runs once; when neither
-    does, the butterfly is searched for, then the bowtie.  Every skipped
-    search could only have failed, so the embedding is the one the search
-    of every pattern in order finds first.  A qualifying component above
-    the cap raises HostTooLarge before any test runs.
+    The pattern is chosen by structure, not by search.  A qualifying
+    component of cycle rank two holds neither K4 nor the book, which have
+    rank three, and its core names its one pattern: one hub of degree 4 (a
+    figure-eight) the butterfly, two hubs of degree 3 (a dumbbell) the
+    bowtie.  No test or search runs: the least branch map is read off the
+    core's two loops and its paths are routed once, which is the search's
+    last step (see _rank_two_branch).  On a component of rank three or
+    more, one reduction per block names K4 or the book when either embeds,
+    and the search runs once; when neither does, the butterfly is searched
+    for, then the bowtie.  Every skipped search could only have failed, so
+    the embedding is the one the search of every pattern in order finds
+    first.  A qualifying component above the cap raises HostTooLarge
+    before any test runs.
 
     The verdict is cached on g per cap, so a later call with the same cap,
     synthesize_witness's included, returns the same Verdict object without
@@ -443,22 +447,22 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     excess = sum(d - 2 for d in degree.values() if d)
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
-    if excess == 2 and _rank_two_pattern(g, degree) is None:
+    if excess == 2 and _rank_two_branch(g, degree) is None:
         return Verdict(False, reason=Reason.THETA_CORE)
     for comp in connected_components(g):
         # a component is connected, so its cycle rank is |E| - |V| + 1
         rank = len(comp.edges) - len(comp.vertices) + 1
-        if rank < 2 or rank == 2 and (shape := _rank_two_pattern(comp, degree)) is None:
+        if rank < 2 or rank == 2 and (core := _rank_two_branch(comp, degree)) is None:
             continue
         if len(comp.vertices) > cap:
             raise HostTooLarge(cap, len(comp.vertices))
         if rank == 2:
-            patterns = (shape,)
-        elif (found := _rank_three_pattern(comp)) is not None:
-            patterns = (found,)
-        else:
-            patterns = (Pattern.BUTTERFLY, Pattern.BOWTIE)
-        for pattern in patterns:
+            # the search's last level: route every pattern edge at once
+            pattern, branch = core
+            routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
+            return Verdict(True, pattern=pattern, embedding=Embedding(branch, routed))
+        found = _rank_three_pattern(comp)
+        for pattern in (found,) if found else (Pattern.BUTTERFLY, Pattern.BOWTIE):
             emb = find_topological_minor(comp, pattern, cap=cap)
             if emb is not None:
                 return Verdict(True, pattern=pattern, embedding=emb)
@@ -469,38 +473,65 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     return Verdict(False, reason=Reason.THETA_CORE)
 
 
-def _rank_two_pattern(comp: SimpleGraph, degree: dict[int, int] | None = None) -> Pattern | None:
-    """The one pattern the 2-core of comp holds, when its excess is 2.
+def _rank_two_branch(
+    comp: SimpleGraph, degree: dict[int, int] | None = None
+) -> tuple[Pattern, dict[int, int]] | None:
+    """The pattern the 2-core of comp holds, when its excess is 2, and the
+    branch map find_topological_minor(comp, pattern) returns; None for a theta.
 
     comp is a connected graph of cycle rank 2, or a graph whose core is one
-    such component beside cycles, which have no cut vertex.  degree holds
-    the core degrees of comp, or of a graph of which comp is a union of
-    components; comp is peeled when it is not given.  Read from degree
-    counts without building the core.  A rank-2 core of n vertices has
-    n + 1 edges, so its degrees, each at least 2, sum to 2n + 2.  So it has
-    one vertex of degree 4, a figure-eight, which holds the butterfly, or
-    two of degree 3 joined by three chains of degree-2 vertices.  Those
-    chains make a theta, with no cut vertex and no pattern (None), unless
-    one of them leaves a degree-3 vertex and comes back to it, a dumbbell,
-    which holds the bowtie.  So the answer is not None exactly when
-    cut_vertices(two_core(comp)) is not empty.
+    such component beside cycles.  degree holds the core degrees of comp,
+    or of a graph of which comp is a union of components; comp is peeled
+    when it is not given.  A rank-2 core of n vertices has n + 1 edges, so
+    its degrees, each at least 2, sum to 2n + 2: it has one hub of degree
+    4, a figure-eight (the butterfly), or two of degree 3 joined by three
+    chains of degree-2 vertices.  Those make a theta, with no cut vertex
+    and no pattern, unless one leaves the lesser hub and comes back to it,
+    a dumbbell (the bowtie).  One walk of the chains from each hub finds
+    its loops, without building the core.  So the answer is not None
+    exactly when cut_vertices(two_core(comp)) is not empty.
+
+    The search tries each placed vertex's candidates in ascending order,
+    and its forward checks drop only maps that cannot route, so it returns
+    the least routable branch map in _plan(pattern) order.  Every pattern
+    vertex lies on a pattern cycle, so its image lies in the core, whose
+    only cycles are its two loops, one per pattern triangle.  So the
+    butterfly's 3 goes to the hub, and the bowtie's 3 and 4, joined by a
+    path that leaves both loops, to the two hubs; every other vertex goes
+    into its triangle's loop, and every such map routes along the loops.
+    The least sends the butterfly's 1 to the least non-hub vertex, 2 to the
+    least other one of 1's loop, and 4 and 5 to the two least of the other
+    loop; the bowtie's 3 to the lesser hub, 1 and 2 to the two least
+    non-hub vertices of 3's loop, and 5 and 6 of 4's.  A simple path
+    between core vertices never enters a tree hung on the core, so
+    _route_paths on comp routes that map as the search's last level does.
     """
     if degree is None:
         degree = comp._core_degrees()
-    hubs = [v for v in comp.vertices if degree[v] > 2]
-    if len(hubs) == 1:
-        return Pattern.BUTTERFLY
+    hubs = sorted(v for v in comp.vertices if degree[v] > 2)
     nbrs = comp._neighbours
-    hub = hubs[0]
-    for first in nbrs[hub]:
-        if not degree[first]:
-            continue
-        prev, v = hub, first
-        while degree[v] == 2:
-            for w in nbrs[v]:
-                if degree[w] and w != prev:
-                    break
-            prev, v = v, w
-        if v == hub:
-            return Pattern.BOWTIE
-    return None
+    loops: list[list[int]] = []
+    for hub in hubs:
+        for first in nbrs[hub]:
+            # a loop's last vertex starts the same loop walked backwards
+            if not degree[first] or any(loop[-1] == first for loop in loops):
+                continue
+            prev, v, chain = hub, first, []
+            while degree[v] == 2:
+                chain.append(v)
+                for w in nbrs[v]:
+                    if degree[w] and w != prev:
+                        break
+                prev, v = v, w
+            if v == hub:
+                loops.append(chain)
+        if not loops:
+            return None
+    heads = [sorted(loop)[:2] for loop in loops]
+    if len(hubs) == 1:
+        # the loop that holds the least non-hub vertex first
+        pattern = Pattern.BUTTERFLY
+        heads.sort()
+    else:
+        pattern = Pattern.BOWTIE
+    return pattern, dict(zip(_plan(pattern)[0], [*hubs, *heads[0], *heads[1]]))

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from corpus_util import (
+    FULL_CORPUS,
     acceptance_corpus,
     atlas_graphs,
     ci_subsample,
@@ -42,7 +43,7 @@ from satminors.minors import (
     PATTERN_ORDER,
     HostTooLarge,
     _rank_three_pattern,
-    _rank_two_pattern,
+    _rank_two_branch,
 )
 
 
@@ -636,8 +637,14 @@ def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -
     return SimpleGraph.of([(labels[u - 1], labels[v - 1]) for u, v in edges])
 
 
+def rank_two_pattern(g: SimpleGraph) -> Pattern | None:
+    """The pattern _rank_two_branch names, or None."""
+    found = _rank_two_branch(g)
+    return found and found[0]
+
+
 class TestRankTwoShape:
-    """_rank_two_pattern names a pattern exactly when the 2-core of c has a cut vertex.
+    """_rank_two_branch names a pattern exactly when the 2-core of c has a cut vertex.
 
     A figure-eight core names the butterfly and a dumbbell the bowtie.
     """
@@ -648,7 +655,7 @@ class TestRankTwoShape:
     def test_acceptance_corpus(self):
         comps = [c for g in acceptance_corpus() for c in connected_components(g)]
         rank_two = [c for c in comps if len(c.edges) - len(c.vertices) + 1 == 2]
-        got = [_rank_two_pattern(c) is not None for c in rank_two]
+        got = [rank_two_pattern(c) is not None for c in rank_two]
         assert got == [bool(cut_vertices(two_core_by_networkx(c))) for c in rank_two]
         assert sum(got) > 20 and len(got) - sum(got) > 100
 
@@ -660,7 +667,7 @@ class TestRankTwoShape:
                 g = rank_two_graph(rng, shape, n)
                 assert len(g.vertices) == n and len(g.edges) == n + 1
                 assert bool(cut_vertices(two_core_by_networkx(g))) is (expected is not None), (shape, g)
-                assert _rank_two_pattern(g) is expected, (shape, g)
+                assert rank_two_pattern(g) is expected, (shape, g)
 
     def test_bare_cores(self):
         # no trees hung on: every vertex is in the core
@@ -668,7 +675,7 @@ class TestRankTwoShape:
         for shape, expected in self.PATTERNS.items():
             for _ in range(10):
                 g = rank_two_graph(rng, shape, 40, trees=False)
-                assert _rank_two_pattern(g) is expected, (shape, g)
+                assert rank_two_pattern(g) is expected, (shape, g)
 
 
 RANK_TWO_SHAPES = ("figure-eight", "dumbbell", "theta", "theta-edge")
@@ -764,15 +771,15 @@ class TestPeelFirstVerdict:
 
 
 class TestRankTwoGate:
-    """A qualifying rank-2 component runs no structure test and one search.
+    """A qualifying rank-2 component runs no structure test and no search.
 
-    K4 and the book have cycle rank 3, and a dumbbell core holds no
-    butterfly, so each patched call below could only have failed.
+    Its embedding is built from the core's two loops and routed by one
+    _route_paths call, the search's last level.
     """
 
     @staticmethod
     def _refuse(*args, **kwargs):
-        raise AssertionError("a rank-2 component ran a test or search it cannot pass")
+        raise AssertionError("a rank-2 component ran a test or search")
 
     def test_figure_eights_and_dumbbells_skip_the_tests(self, monkeypatch):
         rng = random.Random(20261103)
@@ -788,19 +795,80 @@ class TestRankTwoGate:
         # the decider that tried every pattern in turn, on copies
         expected = [decide_support_by_components(SimpleGraph.of(sorted(g.edges))) for g in graphs]
 
-        search = minors.find_topological_minor
-        calls = []
+        route_paths = minors._route_paths
+        routings = []
 
-        def guarded(host, pattern, cap=64):
-            calls.append(pattern)
-            if pattern is Pattern.BUTTERFLY and _rank_two_pattern(host) is Pattern.BOWTIE:
-                self._refuse()
-            return search(host, pattern, cap=cap)
+        def counted(host, edges, branch):
+            routings.append(len(edges))
+            return route_paths(host, edges, branch)
 
         monkeypatch.setattr(minors, "_rank_three_pattern", self._refuse)
-        monkeypatch.setattr(minors, "find_topological_minor", guarded)
+        monkeypatch.setattr(minors, "find_topological_minor", self._refuse)
+        monkeypatch.setattr(minors, "_route_paths", counted)
         got = [decide_support(g) for g in graphs]
         assert got == expected
-        assert calls == [v.pattern for v in got]
+        # one routing of every pattern edge per verdict
+        assert routings == [len(pattern_graph(v.pattern).edges) for v in got]
         assert [v.pattern for v in got[:18]] == [p for p in shapes.values() for _ in range(9)]
         assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))
+
+    def test_hosts_with_trees_at_the_cap(self, monkeypatch):
+        # figure-eights and dumbbells with trees hung on the core, at the
+        # default cap of 64 vertices, on which the search took seconds
+        rng = random.Random(20261103)
+        graphs = [rank_two_graph(rng, shape, 64) for shape in ("figure-eight", "dumbbell")
+                  for _ in range(3)]
+        monkeypatch.setattr(minors, "find_topological_minor", self._refuse)
+        got = [decide_support(g) for g in graphs]
+        assert [v.pattern for v in got] == [Pattern.BUTTERFLY] * 3 + [Pattern.BOWTIE] * 3
+        assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))
+
+
+def assert_built_as_searched(graphs) -> int:
+    """Every qualifying rank-2 component's embedding, as decide_support
+    builds it, against find_topological_minor's: value, repr and key order.
+
+    Returns the number of components compared.
+    """
+    compared = 0
+    for g in graphs:
+        for comp in connected_components(g):
+            rank = len(comp.edges) - len(comp.vertices) + 1
+            if rank != 2 or (pattern := rank_two_pattern(comp)) is None:
+                continue
+            verdict = decide_support(comp)
+            built, searched = verdict.embedding, find_topological_minor(comp, pattern)
+            assert verdict.pattern is pattern
+            assert built == searched and repr(built) == repr(searched), comp
+            assert list(built.branch_map) == list(searched.branch_map)
+            assert list(built.paths) == list(searched.paths)
+            compared += 1
+    return compared
+
+
+class TestRankTwoEmbedding:
+    """The embedding read off a rank-2 core is the one the search returns."""
+
+    def test_atlas(self):
+        assert assert_built_as_searched(atlas_graphs()) > 20
+
+    @pytest.mark.parametrize("trees", [True, False])
+    def test_generated_cores(self, trees):
+        rng = random.Random(20261104 + trees)
+        graphs = [rank_two_graph(rng, shape, n, trees=trees)
+                  for shape in ("figure-eight", "dumbbell") for n in range(8, 21) for _ in range(4)]
+        graphs += [relabelled(rng, g) for g in graphs]
+        assert assert_built_as_searched(graphs) == len(graphs)
+
+    def test_component_mixes(self):
+        rng = random.Random(20261105)
+        graphs = [component_mix(rng, excess) for excess in (2, 4, 6) for _ in range(30)]
+        assert assert_built_as_searched(graphs) > 30
+
+    @pytest.mark.skipif(not FULL_CORPUS, reason="the search takes seconds per host; SATMINORS_FULL=1")
+    def test_hosts_at_the_cap(self):
+        rng = random.Random(20261103)
+        graphs = [rank_two_graph(rng, shape, 64) for shape in ("figure-eight", "dumbbell")
+                  for _ in range(3)]
+        graphs += [relabelled(rng, g) for g in graphs]
+        assert assert_built_as_searched(graphs) == len(graphs)
