@@ -67,6 +67,10 @@ class TooManyEdges(ValueError):
         self.count = count
 
 
+# the signs of u and v in a clause on (u, v), by polarity code
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 class EdgePolarity(enum.Enum):
     """Clause shape on a canonical edge (u, v), u < v."""
 
@@ -78,9 +82,8 @@ class EdgePolarity(enum.Enum):
     def clause(self, u: int, v: int) -> Clause:
         if u > v:
             u, v = v, u
-        lit_u = -u if self in (EdgePolarity.NP, EdgePolarity.NN) else u
-        lit_v = -v if self in (EdgePolarity.PN, EdgePolarity.NN) else v
-        return Clause.of(lit_u, lit_v)
+        a, b = _SIGNS[self.value]
+        return Clause.of(a * u, b * v)
 
 
 class CensusReport(_Value):
@@ -97,10 +100,6 @@ class CensusReport(_Value):
         object.__setattr__(self, "sat_count", sat_count)
         object.__setattr__(self, "unsat_count", unsat_count)
         object.__setattr__(self, "example_unsat", example_unsat)
-
-
-# the signs of u and v in a clause on (u, v), by polarity code
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def formula_at(edges: list[tuple[int, int]], index: int) -> Cnf2:

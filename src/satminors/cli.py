@@ -372,7 +372,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TooManyEdges, *_loaded("minors", "HostTooLarge")) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (_InternalError, *_loaded("witness", "InternalVerificationFailed")) as exc:
+    # the library's internal checks raise AssertionError explicitly, never
+    # by assert, so they also run under -O
+    except (_InternalError, AssertionError,
+            *_loaded("witness", "InternalVerificationFailed")) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:

@@ -117,15 +117,10 @@ class Literal(_Value):
     _fields = ("var", "positive")
 
     def __init__(self, var: int, positive: bool = True) -> None:
+        if var < 1:
+            raise ValueError(f"variable index must be >= 1, got {var}")
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "positive", positive)
-        # the range check is a method of its own: tests patch it to count
-        # the Literal values a code path builds
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
 
     def negate(self) -> Literal:
         return Literal(self.var, not self.positive)

@@ -26,12 +26,14 @@ one pattern it holds: a figure-eight the butterfly, a dumbbell the bowtie
 (its two cycles are disjoint, so no butterfly).  Its embedding is read off
 the core's two loops in linear time, and it is the one the generic
 subdivision-embedding search would return; no search runs.  In a
-component of rank three or more, one weighted series-parallel reduction
-per block decides which pattern to search for: K4 embeds iff some block
-keeps more than two vertices (Duffin 1965), and the book iff two vertices
-are joined by four internally disjoint paths, which the edge weights
-count.  The search then runs once, or for the butterfly and the bowtie
-when neither embeds.
+component of rank three or more, one pass over the blocks names the
+first pattern that embeds, and the search runs once, for it.  A weighted
+series-parallel reduction per block decides K4, which embeds iff some
+block keeps more than two vertices (Duffin 1965), and the book, which
+embeds iff two vertices are joined by four internally disjoint paths,
+which the edge weights count.  Without either, the butterfly embeds iff a
+vertex lies in two cyclic blocks or has degree 4 or more inside one, and
+otherwise the bowtie is the pattern left.
 
 A graph is decided at most once per cap: the verdict is cached on the
 graph instance, the same Verdict object is returned on every later call,
@@ -73,8 +75,8 @@ class Pattern(enum.Enum):
     BOWTIE = "bowtie"
 
 
-# Search order: smallest hosts first among the rank-3 patterns, then the
-# two rank-2 patterns.
+# Priority order: a positive verdict names the first of these that embeds,
+# the rank-3 patterns first, then the two rank-2 patterns.
 PATTERN_ORDER = (Pattern.K4, Pattern.BOOK, Pattern.BUTTERFLY, Pattern.BOWTIE)
 
 _PATTERN_EDGES: dict[Pattern, tuple[tuple[int, int], ...]] = {
@@ -355,8 +357,9 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
     return True
 
 
-def _rank_three_pattern(comp: SimpleGraph) -> Pattern | None:
-    """K4 when it is a topological minor of comp, else the book when it is, else None.
+def _rank_three_pattern(comp: SimpleGraph) -> Pattern:
+    """The first pattern of PATTERN_ORDER that is a topological minor of
+    comp, a connected graph of cycle rank 3 or more.
 
     One weighted series-parallel reduction per block of cycle rank 3 or
     more suppresses degree-2 vertices.  An edge of the block starts at
@@ -377,15 +380,51 @@ def _rank_three_pattern(comp: SimpleGraph) -> Pattern | None:
     two neighbours is t, as any other carries at most one of the paths, and
     the edge to t has weight 3 or more, reached while the other neighbour
     was left; when neither is, they are left last, joined by weight 4 or more.
+
+    The same pass over the cyclic blocks (those that are not a bridge)
+    decides the butterfly once the book is ruled out: it embeds iff some
+    vertex lies in two cyclic blocks or has degree 4 or more inside one.
+    A butterfly subdivision is two cycles that meet in exactly one vertex h.
+    - Only if: each cycle lies in one block.  Two blocks put h in both;
+      one block B gives h two edges of each cycle in B, four in all.
+    - If v lies in cyclic blocks B1 and B2: a 2-connected block has a
+      cycle through each vertex, and two blocks share at most v, so a
+      cycle through v in each meets the other only at v.
+    - If v has degree 4 or more in a block B, which is 2-connected as a
+      bridge gives degree 1: let A = N_B(v).  Two disjoint paths of B - v,
+      each joining two vertices of A, close two cycles through v that meet
+      only at v.  B - v is connected, and a shortest path P = a...b in it
+      between two vertices of A has no other vertex in A, so two more, c
+      and d, lie off P.  If one component of B - v - P holds both, a c-d
+      path inside it is disjoint from P.  Otherwise c lies in a component
+      C and d in another, D, each with a neighbour on P as B - v is
+      connected.  If C has one at p and D one at q != p, p nearer a say,
+      then c...p...a (through C, then along P) and d...q...b are disjoint.
+      Otherwise C and D attach to P at one vertex x only, and v and x are
+      joined by four internally disjoint paths, through C, through D, and
+      along P to a and to b, at most one of them an edge: the book, which
+      is ruled out.
+    The proof reads no K4-freeness.  The bowtie is then named without a
+    test: every connected graph of cycle rank 3 or more holds one of the
+    four patterns, and _decide checks that its search finds it.
     """
-    book = False
+    book = hub = False
+    # the vertices of the cyclic blocks, and their count with repeats
+    seen: set[int] = set()
+    count = 0
     for block in _blocks(comp):
+        if len(block) == 1:
+            continue
         nbrs: dict[int, dict[int, int]] = {}
         for a, b in block:
             nbrs.setdefault(a, {})[b] = 1
             nbrs.setdefault(b, {})[a] = 1
+        seen.update(nbrs)
+        count += len(nbrs)
+        # in a block of rank 2 or less, a theta or a cycle, no degree exceeds 3
         if len(block) - len(nbrs) + 1 < 3:
             continue
+        hub = hub or max(map(len, nbrs.values())) > 3
         queue = [v for v, ns in nbrs.items() if len(ns) == 2]
         while queue:
             v = queue.pop()
@@ -400,7 +439,10 @@ def _rank_three_pattern(comp: SimpleGraph) -> Pattern | None:
             queue += x, y
         if len(nbrs) > 2:
             return Pattern.K4
-    return Pattern.BOOK if book else None
+    if book:
+        return Pattern.BOOK
+    # a vertex of two cyclic blocks is counted twice
+    return Pattern.BUTTERFLY if hub or count > len(seen) else Pattern.BOWTIE
 
 
 def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
@@ -419,12 +461,12 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     bowtie.  No test or search runs: the least branch map is read off the
     core's two loops and its paths are routed once, which is the search's
     last step (see _rank_two_branch).  On a component of rank three or
-    more, one reduction per block names K4 or the book when either embeds,
-    and the search runs once; when neither does, the butterfly is searched
-    for, then the bowtie.  Every skipped search could only have failed, so
-    the embedding is the one the search of every pattern in order finds
-    first.  A qualifying component above the cap raises HostTooLarge
-    before any test runs.
+    more, one pass over its blocks names the first pattern in
+    PATTERN_ORDER that embeds, K4, the book, the butterfly or else the
+    bowtie (see _rank_three_pattern), and the search runs once, for it.
+    Every skipped search could only have failed, so the embedding is the
+    one the search of every pattern in order finds first.  A qualifying
+    component above the cap raises HostTooLarge before any test runs.
 
     The verdict is cached on g per cap, so a later call with the same cap,
     synthesize_witness's included, returns the same Verdict object without
@@ -447,12 +489,16 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     excess = sum(d - 2 for d in degree.values() if d)
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
-    if excess == 2 and _rank_two_branch(g, degree) is None:
+    # with an excess of 2, the one rank-2 component's branch map is g's
+    core = _rank_two_branch(g, degree) if excess == 2 else None
+    if excess == 2 and core is None:
         return Verdict(False, reason=Reason.THETA_CORE)
     for comp in connected_components(g):
         # a component is connected, so its cycle rank is |E| - |V| + 1
         rank = len(comp.edges) - len(comp.vertices) + 1
-        if rank < 2 or rank == 2 and (core := _rank_two_branch(comp, degree)) is None:
+        if rank == 2 and excess > 2:
+            core = _rank_two_branch(comp, degree)
+        if rank < 2 or rank == 2 and core is None:
             continue
         if len(comp.vertices) > cap:
             raise HostTooLarge(cap, len(comp.vertices))
@@ -461,14 +507,11 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
             pattern, branch = core
             routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
             return Verdict(True, pattern=pattern, embedding=Embedding(branch, routed))
-        found = _rank_three_pattern(comp)
-        for pattern in (found,) if found else (Pattern.BUTTERFLY, Pattern.BOWTIE):
-            emb = find_topological_minor(comp, pattern, cap=cap)
-            if emb is not None:
-                return Verdict(True, pattern=pattern, embedding=emb)
-        raise AssertionError(
-            f"structural decider found support but no pattern embeds in {comp!r}"
-        )
+        pattern = _rank_three_pattern(comp)
+        emb = find_topological_minor(comp, pattern, cap=cap)
+        if emb is None:
+            raise AssertionError(f"{pattern.name} was named but does not embed in {comp!r}")
+        return Verdict(True, pattern=pattern, embedding=emb)
     # the excess is at least 2: some component has cycle rank 2 or more
     return Verdict(False, reason=Reason.THETA_CORE)
 

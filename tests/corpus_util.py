@@ -670,6 +670,18 @@ def has_book_by_flow(g: SimpleGraph) -> bool:
     return False
 
 
+def has_butterfly_by_cycles(g: SimpleGraph) -> bool:
+    """Reference butterfly test: two cycles of g that meet in exactly one vertex.
+
+    A butterfly subdivision is two such cycles.  Enumerates every cycle
+    (networkx.simple_cycles), so it suits graphs of small cycle rank.
+    """
+    import networkx as nx
+
+    cycles = [set(c) for c in nx.simple_cycles(nx.Graph(sorted(g.edges)))]
+    return any(len(a & b) == 1 for a, b in itertools.combinations(cycles, 2))
+
+
 def _disjoint_paths(adj: dict[int, list[int]], s: int, t: int, want: int) -> int:
     """Count internally disjoint s-t paths, stopping at want.
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors import minors
-from satminors.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
+from satminors.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
 from satminors.fixtures import MAX_FIXTURE_ARG, UnknownFixture
 from satminors.formula import ParseError
 
@@ -424,6 +424,30 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/path.cnf")
         assert code == EXIT_USAGE
+
+
+class TestInternalChecks:
+    """A failed internal check of the library exits 70 with one line, no traceback."""
+
+    K4_TEXT = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+    def assert_internal_error(self, code, out, err):
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_decider_naming_a_pattern_that_does_not_embed(self, capsys, tmp_path, monkeypatch):
+        # K4 has maximum degree 3, so the butterfly's degree-4 vertex has no image
+        monkeypatch.setattr(minors, "_rank_three_pattern", lambda comp: minors.Pattern.BUTTERFLY)
+        path = write(tmp_path, "k4.graph", self.K4_TEXT)
+        self.assert_internal_error(*run(capsys, "analyze", path))
+
+    def test_census_example_the_solver_calls_satisfiable(self, capsys, tmp_path, monkeypatch):
+        # the package attribute satminors.census is the function, not the module
+        module = sys.modules["satminors.census"]
+        monkeypatch.setattr(module, "solve", lambda s: mock.Mock(satisfiable=True))
+        path = write(tmp_path, "k4.graph", self.K4_TEXT)
+        self.assert_internal_error(*run(capsys, "census", path))
 
 
 class TestFreshProcess:

@@ -12,6 +12,7 @@ from corpus_util import (
     decide_support_by_search,
     find_topological_minor_unpruned,
     has_book_by_flow,
+    has_butterfly_by_cycles,
     hung_core_graph,
     ladder,
     random_sparse_graph,
@@ -28,6 +29,7 @@ from satminors import (
     Verdict,
     connected_components,
     cut_vertices,
+    cycle_rank,
     decide_support,
     find_topological_minor,
     fixture_graph,
@@ -396,15 +398,39 @@ def relabelled(rng: random.Random, g: SimpleGraph) -> SimpleGraph:
                           isolated=image.values())
 
 
+def butterfly_or_bowtie(g: SimpleGraph) -> Pattern:
+    """BUTTERFLY when the search embeds it in g, else BOWTIE; where g's cycle
+    rank allows listing its cycles, the cycle oracle must agree."""
+    found = find_topological_minor(g, Pattern.BUTTERFLY) is not None
+    if cycle_rank(g) <= 8:
+        assert has_butterfly_by_cycles(g) == found, g
+    return Pattern.BUTTERFLY if found else Pattern.BOWTIE
+
+
+def has_butterfly_by_cycles_or_search(g: SimpleGraph) -> bool:
+    """The cycle oracle where g's cycle rank allows listing its cycles, else
+    the search."""
+    if cycle_rank(g) <= 8:
+        return has_butterfly_by_cycles(g)
+    return find_topological_minor(g, Pattern.BUTTERFLY) is not None
+
+
 class TestStructuralExistence:
-    """_rank_three_pattern names K4, else the book, exactly when the search
-    finds it, and agrees with the flow and a treewidth test on larger graphs."""
+    """_rank_three_pattern names K4, else the book, else the butterfly, else
+    the bowtie, each exactly when the search finds it first, and agrees with
+    the flow, a treewidth test and the cycle oracle on larger graphs."""
 
     def assert_matches_search(self, graphs) -> tuple[int, int]:
         k4 = [find_topological_minor(g, Pattern.K4) is not None for g in graphs]
         book = [find_topological_minor(g, Pattern.BOOK) is not None for g in graphs]
-        expected = [Pattern.K4 if a else Pattern.BOOK if b else None for a, b in zip(k4, book)]
+        expected = [Pattern.K4 if a else Pattern.BOOK if b else butterfly_or_bowtie(g)
+                    for g, a, b in zip(graphs, k4, book)]
         assert [_rank_three_pattern(g) for g in graphs] == expected
+        # a connected graph of cycle rank 3 or more holds the pattern named last
+        for g, pattern in zip(graphs, expected):
+            qualifies = len(connected_components(g)) == 1 and cycle_rank(g) >= 3
+            if pattern is Pattern.BOWTIE and qualifies:
+                assert find_topological_minor(g, Pattern.BOWTIE) is not None, g
         return sum(k4), sum(book)
 
     def test_acceptance_corpus(self):
@@ -441,20 +467,24 @@ class TestStructuralExistence:
         graphs += [random_sparse_graph(rng, 8 + k % 23, 2 + k % 5) for k in range(2000)]
         graphs += [random_subdivision(rng, sorted(pattern_graph(p).edges), rng.randint(8, 30))
                    for p in PATTERN_ORDER for _ in range(50)]
+        # a relabelled copy holds the butterfly when its original does; the
+        # search, which judges the strips, is slow on them relabelled
+        butterfly = [has_butterfly_by_cycles_or_search(g) for g in graphs] * 2
         graphs += [relabelled(rng, g) for g in graphs]
         got = [_rank_three_pattern(g) for g in graphs]
         assert got == [
-            Pattern.K4 if has_k4_by_treewidth(g) else Pattern.BOOK if has_book_by_flow(g) else None
-            for g in graphs
+            Pattern.K4 if has_k4_by_treewidth(g) else Pattern.BOOK if has_book_by_flow(g)
+            else Pattern.BUTTERFLY if b else Pattern.BOWTIE
+            for g, b in zip(graphs, butterfly)
         ]
-        assert min(got.count(p) for p in (Pattern.K4, Pattern.BOOK, None)) > 300
+        assert min(got.count(p) for p in Pattern) > 300
 
     def test_linear_on_strips(self):
         # a strip is one outerplanar block, all but four of its vertices of
         # degree 4: no K4 and no book, and about n * n / 2 pairs of hubs
         seconds = []
         for g in (strip(2000), strip(4000)):
-            assert _rank_three_pattern(g) is None
+            assert _rank_three_pattern(g) is Pattern.BUTTERFLY
             runs = []
             for _ in range(3):
                 start = time.perf_counter()
@@ -465,19 +495,9 @@ class TestStructuralExistence:
 
 
 class TestSearchOnce:
-    @pytest.mark.parametrize(
-        "name", ["hills:16", "hills:24", "ladder:8"] + [f"book:{i}" for i in range(9)]
-    )
-    def test_one_search_per_verdict(self, monkeypatch, name):
-        head, _, arg = name.partition(":")
-        if head == "ladder":
-            g = ladder(int(arg))
-        elif head == "book":
-            g = subdivided_books()[int(arg)]
-        else:
-            g = fixture_graph(name)
-        # every g here is built afresh: a verdict cached on a graph an
-        # earlier test decided would skip the searches counted below
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        """Patch find_topological_minor to note each (pattern, found) it returns."""
         calls = []
         search = minors.find_topological_minor
 
@@ -487,15 +507,48 @@ class TestSearchOnce:
             return emb
 
         monkeypatch.setattr(minors, "find_topological_minor", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name", ["hills:16", "hills:24", "ladder:8", "config:ppe1", "config:ppe2"]
+        + [f"book:{i}" for i in range(9)]
+    )
+    def test_one_search_per_verdict(self, monkeypatch, name):
+        head, _, arg = name.partition(":")
+        if head == "ladder":
+            g = ladder(int(arg))
+        elif head == "book":
+            g = subdivided_books()[int(arg)]
+        else:
+            g = fixture_graph(name)
+        # every g here is a fresh copy (the config fixtures are shared): a
+        # verdict cached on a graph an earlier test decided would skip the
+        # searches counted below
+        g = SimpleGraph(g.vertices, g.edges)
+        calls = self.count_searches(monkeypatch)
         start = time.perf_counter()
         verdict = decide_support(g)
         assert time.perf_counter() - start < 0.1
-        # the ladder's verdict is the bowtie; it has maximum degree 3, so the
-        # butterfly search before it finds no candidate for the degree-4
-        # middle vertex and returns None without routing
-        missed = [(Pattern.BUTTERFLY, False)] if head == "ladder" else []
-        assert calls == missed + [(verdict.pattern, True)]
+        assert calls == [(verdict.pattern, True)]
         assert verify_embedding(g, verdict.pattern, verdict.embedding)
+
+    def test_one_successful_search_per_rank_three_verdict(self, monkeypatch):
+        # fresh copies: the corpus graphs may carry verdicts cached by earlier tests
+        rng = random.Random(20261021)
+        graphs = [SimpleGraph(g.vertices, g.edges) for g in acceptance_corpus()]
+        graphs += [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(200)]
+        calls = self.count_searches(monkeypatch)
+        named = set()
+        for g in graphs:
+            calls.clear()
+            verdict = decide_support(g)
+            # every graph here is connected
+            if cycle_rank(g) >= 3:
+                assert calls == [(verdict.pattern, True)], g
+                named.add(verdict.pattern)
+            else:
+                assert calls == [], g
+        assert named == set(Pattern)
 
     def test_matches_searching_every_pattern(self):
         # the verdicts, patterns and embeddings of the decider that searched

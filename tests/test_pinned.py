@@ -163,13 +163,13 @@ def test_witnesses_and_census_examples_match_pinned_digest():
 
 def test_hot_paths_build_no_literal(monkeypatch):
     built = []
-    original = Literal.__post_init__
+    original = Literal.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        original(self)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Literal, "__post_init__", counting)
+    monkeypatch.setattr(Literal, "__init__", counting)
     Literal(1)
     assert len(built) == 1, "the counter is not wired"
     built.clear()
