@@ -16,10 +16,11 @@ A forest is answered without a count.
 Flipping one variable's sign in every clause maps the core's sentences one
 to one and keeps satisfiability, so they fall into orbits of 2**V, V the
 core's vertices.  Only the sentence of each orbit with every literal
-positive at its vertex's first edge in the order walked is visited; the
-first unsatisfiable one is among them, as flipping a vertex negative at its
-first edge gives a smaller one (lex-leader symmetry breaking, Crawford et
-al. 1996).
+positive at its vertex's first edge in sorted order is visited, whatever
+the order walked: each orbit has exactly one, and the counts are weighed
+by 2 at each vertex so fixed.  The first unsatisfiable sentence is among
+them, as flipping a vertex negative at its first edge gives a smaller one
+(lex-leader symmetry breaking, Crawford et al. 1996).
 
 The count is a dynamic program over the core's edges and never consults the
 structural theorem.  After a prefix of edges, all that matters for the rest
@@ -32,10 +33,13 @@ the frontier's width, so a sorted order wider than three slots is counted
 along a greedy order that keeps the frontier small (the bandwidth idea of
 Cuthill and McKee), when that one is narrower.
 
-The example comes from a depth-first search on the sorted order that tries
-the codes in order, computes a state's successors on reaching it and stops
-at the first empty set.  It remembers per level the states with no unsat
-completion, so it expands no more states than a sorted-order count would.
+The same forward pass finds the example.  A vector's index is the sum over
+its edges of code * 4**p, p the edge's digit in sorted order, so each set
+keeps the least index of the prefixes that reach it.  When code c at an
+edge of digit p empties a set, ``least + c * 4**p``, PP (0) on every later
+edge, indexes an unsatisfiable vector, and the least of these is the first
+one: that one's prefix empties some set at some edge, and the set's least
+prefix, no larger, empties it there too.
 
 A set is an int bitset over the assignments of a fixed slot layout: bit a
 stands for the assignment giving slot k the value of bit k of a.  A vertex
@@ -138,7 +142,7 @@ def _slot_layout(edges: list[tuple[int, int]]):
 # that have one, a greedy order costs more than it saves.
 _NARROW = 3
 
-# Codes kept at an edge, by (u enters, v enters): each literal positive at its vertex's first edge
+# Codes kept at an edge, by (first sorted edge of u, of v): each literal positive there
 _KEPT = {(0, 0): (0, 1, 2, 3), (1, 0): (0, 1), (0, 1): (0, 2), (1, 1): (0,)}
 
 
@@ -171,8 +175,13 @@ def _small_frontier_order(edges: list[tuple[int, int]]) -> list[tuple[int, int]]
     return order
 
 
-def _transitions(layout: tuple[list, int]) -> list[tuple]:
-    """Per edge: entering slots, kept codes, their masks, slot moves on leaving, weight."""
+def _transitions(edges: list[tuple[int, int]], order: list[tuple[int, int]],
+                 layout: tuple[list, int]) -> list[tuple]:
+    """Per edge of order: entering slots, kept codes' masks and index offsets, slot moves, weight.
+
+    edges is the sorted edge list that indexes the vectors, order a walk of
+    some of its edges and layout that walk's _slot_layout.
+    """
     steps, width = layout
     n_assignments = 1 << width
     full = (1 << n_assignments) - 1
@@ -183,81 +192,59 @@ def _transitions(layout: tuple[list, int]) -> list[tuple]:
             mask |= mask << span
             span <<= 1
         false_at.append(mask)
+    digit = {e: len(edges) - 1 - i for i, e in enumerate(edges)}
+    first: dict[int, tuple[int, int]] = {}  # each vertex's first walked edge in sorted order
+    for e in sorted(order):
+        first.setdefault(e[0], e)
+        first.setdefault(e[1], e)
     transitions = []
-    for su, sv, entering, leaving in steps:
+    for (u, v), (su, sv, entering, leaving) in zip(order, steps):
         value_u = (false_at[su], full ^ false_at[su])
         value_v = (false_at[sv], full ^ false_at[sv])
-        codes = _KEPT[su in entering, sv in entering]
+        codes = _KEPT[first[u] == (u, v), first[v] == (u, v)]
+        scale = 4 ** digit[u, v]
         # polarity code c rules out (t_u, t_v) == (c >> 1, c & 1)
-        keeps = [full ^ (value_u[c >> 1] & value_v[c & 1]) for c in codes]
+        branches = [(full ^ (value_u[c >> 1] & value_v[c & 1]), c * scale) for c in codes]
         leave = [(false_at[k], full ^ false_at[k], 1 << k) for k in leaving]
-        transitions.append(([1 << k for k in entering], codes, keeps, leave, 4 // len(codes)))
+        transitions.append(([1 << k for k in entering], branches, leave, 4 // len(codes)))
     return transitions
 
 
-def _children(state: int, transition: tuple) -> list[int]:
-    """The successor sets of state, one per kept code."""
-    entering, _, keeps, leave, _ = transition
-    for shift in entering:
-        state |= state << shift
-    kids = []
-    for keep in keeps:
-        kid = state & keep
-        for false_k, true_k, shift in leave:
-            kid = (kid & false_k) | ((kid & true_k) >> shift)
-        kids.append(kid)
-    return kids
+def _count(transitions: list[tuple]) -> tuple[int, int, int | None]:
+    """Exact (sat count, unsat count, least unsat index) over all 4**E polarity vectors.
 
-
-def _count(transitions: list[tuple]) -> tuple[int, int]:
-    """Exact (sat count, unsat count) over all 4**E polarity vectors."""
+    The index is None when no vector is unsatisfiable.
+    """
     layer = {1: 1}  # before any edge: the empty assignment, one prefix
-    unsat = 0
-    for i, transition in enumerate(transitions):
+    least = {1: 0}  # per set, the least index of the prefixes that reach it
+    unsat, first = 0, None
+    for i, (entering, branches, leave, weight) in enumerate(transitions):
         rest = 4 ** (len(transitions) - 1 - i)
-        successor: dict[int, int] = {}
-        entering, _, keeps, leave, weight = transition
-        for state, count in layer.items():  # _children, inlined: this loop is the hot one
-            count *= weight  # a kept prefix and its flips at the entering vertices
+        counts: dict[int, int] = {}
+        indexes: dict[int, int] = {}
+        for state, count in layer.items():
+            low = least[state]
+            count *= weight  # a kept prefix and its flips at the vertices fixed here
             for shift in entering:
                 state |= state << shift
-            for keep in keeps:
+            for keep, offset in branches:
                 kid = state & keep
                 for false_k, true_k, shift in leave:
                     kid = (kid & false_k) | ((kid & true_k) >> shift)
-                if kid:
-                    successor[kid] = successor.get(kid, 0) + count
-                else:
+                index = low + offset
+                if not kid:
                     unsat += count * rest
-        layer = successor
-    return sum(layer.values()), unsat
-
-
-def _first_unsat(transitions: list[tuple]) -> int:
-    """The smallest index whose sentence is unsatisfiable; one must exist."""
-    last = len(transitions) - 1
-    dead: list[set[int]] = [set() for _ in transitions]  # states with no unsat completion
-    stack = []  # per open level: state, its children, the child being tried
-    state, kids, j = 1, _children(1, transitions[0]), 0
-    while True:
-        if j == len(kids):
-            dead[len(stack)].add(state)
-            if not stack:
-                raise AssertionError("census lost its unsatisfiable prefix")
-            state, kids, j = stack.pop()
-            j += 1
-        elif not kids[j]:
-            index = 0
-            for (_, _, k), transition in zip(stack + [(state, kids, j)], transitions):
-                index = 4 * index + transition[1][k]
-            # every suffix is unsatisfiable; the smallest is all PP
-            return index * 4 ** (last - len(stack))
-        elif len(stack) < last and kids[j] not in dead[len(stack) + 1]:
-            stack.append((state, kids, j))
-            state = kids[j]
-            kids, j = _children(state, transitions[len(stack)]), 0
-        else:
-            j += 1
+                    if first is None or index < first:
+                        first = index  # every suffix is unsatisfiable; the least is all PP
+                elif kid in counts:
+                    counts[kid] += count
+                    if index < indexes[kid]:
+                        indexes[kid] = index
+                else:
+                    counts[kid] = count
+                    indexes[kid] = index
+        layer, least = counts, indexes
+    return sum(layer.values()), unsat, first
 
 
 def census(g: SimpleGraph, cap: int = 10, threads: int = 1) -> CensusReport:
@@ -274,24 +261,18 @@ def census(g: SimpleGraph, cap: int = 10, threads: int = 1) -> CensusReport:
     core = [e for e in edges if degree[e[0]] and degree[e[1]]]
     if not core:
         return CensusReport(g, 4**n_edges, 4**n_edges, 0, None)
-    layout = counted = _slot_layout(core)
+    order, layout = core, _slot_layout(core)
     if layout[1] > _NARROW:
-        greedy = _slot_layout(_small_frontier_order(core))
-        if greedy[1] < layout[1]:
-            counted = greedy
-    transitions = _transitions(counted)
-    unsat = _count(transitions)[1] * 4 ** (n_edges - len(core))
+        greedy = _small_frontier_order(core)
+        narrow = _slot_layout(greedy)
+        if narrow[1] < layout[1]:
+            order, layout = greedy, narrow
+    # the index has a digit for every edge, PP (0) on each peeled one
+    _, unsat, first = _count(_transitions(edges, order, layout))
+    unsat *= 4 ** (n_edges - len(core))
     example: Cnf2 | None = None
     if unsat:
-        if counted is not layout:
-            transitions = _transitions(layout)
-        first, k, index = _first_unsat(transitions), 2 * len(core), 0
-        for u, v in edges:  # the core's codes at its edges' places, PP (0) on every peeled edge
-            index <<= 2
-            if degree[u] and degree[v]:
-                k -= 2
-                index |= first >> k & 3
-        example = formula_at(edges, index)
+        example = formula_at(edges, first)
         if solve(example).satisfiable:
             raise AssertionError("census found an example the solver calls satisfiable")
     return CensusReport(g, 4**n_edges, 4**n_edges - unsat, unsat, example)

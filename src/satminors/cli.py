@@ -46,14 +46,10 @@ class _UsageError(Exception):
     pass
 
 
-class _InternalError(RuntimeError):
-    pass
-
-
 def _check(ok: object, what: str) -> None:
-    """Raise _InternalError unless ok; unlike assert, it also runs under -O."""
+    """Raise AssertionError unless ok; unlike assert, it also runs under -O."""
     if not ok:
-        raise _InternalError(what)
+        raise AssertionError(what)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,10 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TooManyEdges, *_loaded("minors", "HostTooLarge")) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    # the library's internal checks raise AssertionError explicitly, never
-    # by assert, so they also run under -O
-    except (_InternalError, AssertionError,
-            *_loaded("witness", "InternalVerificationFailed")) as exc:
+    # internal checks raise AssertionError explicitly, never by assert, so
+    # they also run under -O
+    except (AssertionError, *_loaded("witness", "InternalVerificationFailed")) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:

@@ -291,8 +291,7 @@ class TestCoreCensus:
         def refuse(*args):
             raise AssertionError("a forest reached the frontier DP")
 
-        for name in ("_slot_layout", "_small_frontier_order", "_transitions", "_count",
-                     "_first_unsat"):
+        for name in ("_slot_layout", "_small_frontier_order", "_transitions", "_count"):
             monkeypatch.setattr(census_module, name, refuse)
         trees = tree_corpus(10)
         assert max(len(t.edges) for t in trees) == 10

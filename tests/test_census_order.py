@@ -1,4 +1,4 @@
-"""The census counts along a small-frontier edge order and searches lazily for its example.
+"""The census counts along a small-frontier edge order and finds its example in the same pass.
 
 The reference is the sorted-order DP it replaced, kept verbatim as
 corpus_util.frontier_dp_sorted; the judge on large sparse hosts is
@@ -128,10 +128,11 @@ class TestAgainstSortedDp:
                 unsat,
                 example,
             ), g
-            # the counts do not depend on the order, whichever one census picked
-            assert _count(_transitions(_slot_layout(edges))) == (sat, unsat), g
-            greedy = _transitions(_slot_layout(_small_frontier_order(edges)))
-            assert _count(greedy) == (sat, unsat), g
+            # neither the counts nor the example depend on the order walked,
+            # whichever one census picked
+            for order in (edges, _small_frontier_order(edges)):
+                transitions = _transitions(edges, order, _slot_layout(order))
+                assert _count(transitions) == (sat, unsat, first), g
 
     def test_greedy_order_is_narrow_on_rung_labelled_ladders(self):
         for n in range(3, 13):
@@ -149,7 +150,7 @@ class TestAgainstSortedDp:
 
 
 class TestAgreesWithDecider:
-    """Census and decider agree on hosts the sorted-order census could not reach."""
+    """Census and decider agree on hosts whose sorted order is too wide to walk."""
 
     def _agree(self, g: SimpleGraph, supports: bool) -> None:
         report = census(g, cap=len(g.edges))
@@ -165,10 +166,19 @@ class TestAgreesWithDecider:
             self._agree(g, decide_support(g).supports_unsat)
 
     def test_wide_ladders(self):
-        # The sorted order of ladder(n) is n + 1 slots wide, which only the
-        # example search walks.  The evidence search takes seconds here.
-        for n in range(13, 17):
+        # The sorted order of ladder(n) is n + 1 slots wide; the census walks
+        # the greedy one.  The evidence search takes seconds here.
+        for n in range(13, 41):
             self._agree(ladder(n), _structural_verdict(ladder(n)))
+
+    def test_strips_and_hills_of_over_100_edges(self):
+        # Each has more than decide_support's default cap of 64 vertices, so
+        # the verdict comes without the evidence search.
+        hosts = [strip(n) for n in (66, 80, 101)]
+        hosts += [fixture_graph(f"hills:{n}") for n in (34, 40, 50)]
+        assert all(len(g.edges) >= 100 and len(g.vertices) > 64 for g in hosts)
+        for g in hosts:
+            self._agree(g, _structural_verdict(g))
 
     def test_long_length_labelled_ladders(self):
         # The evidence search on these takes 0.3 s at n = 10 and grows about
@@ -187,9 +197,9 @@ class TestAgreesWithDecider:
 
 def test_first_example_deeper_than_the_recursion_limit():
     # A 1101-edge cycle with ascending ids, then a butterfly on higher ids:
-    # every cycle edge of the first unsatisfiable sentence is PP, so the
-    # search descends 1101 levels before its first empty set.  A path would
-    # be peeled away before the search.
+    # every cycle edge of the first unsatisfiable sentence is PP, so its
+    # first empty set comes after 1101 edges.  A path would be peeled away
+    # before the count.
     cycle = _path(list(range(1, 1102))) + [(1, 1101)]
     butterfly = [(1102, 1103), (1102, 1104), (1103, 1104), (1104, 1105), (1104, 1106), (1105, 1106)]
     g = SimpleGraph.of(cycle + butterfly)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_util import ladder
 from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
@@ -301,6 +303,21 @@ class TestCensusCommand:
         for threads in ("0", "1", "8"):
             assert run(capsys, "census", path, "--threads", threads)[:2] == (
                 EXIT_OK, "4 total, 4 sat, 0 unsat\n")
+
+    def test_wide_ladder_within_a_memory_and_time_budget(self, capsys, tmp_path):
+        # ladder(100) has 298 edges and a sorted order 101 slots wide; the
+        # census answers it in a fresh process with 1 GiB of address space
+        path = write(tmp_path, "ladder.graph", edgelist_to_text(ladder(100)))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def limit_memory():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["census", "--cap", "300", path]
+        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=30, preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == run(capsys, *argv)[1]
 
 
 class TestMinorCommand:
