@@ -7,9 +7,12 @@ Edge contraction is only allowed at edges not contained in any triangle, so
 it never creates a parallel edge and simple graphs stay simple.
 
 A graph builds its neighbour lists once, in no fixed order.  The component
-labelling and the leaf peel (_core_degrees, read by two_core, decide_support
-and census), whose results do not depend on that order, read them as they
-are; every other pass reads the public adjacency, the same lists sorted.
+labelling and the leaf peel (_core_degrees, read by two_core, decide_support,
+census and the pattern search), whose results do not depend on that order,
+read them as they are; every other pass reads the public adjacency, the same
+lists sorted.  Both are computed once per graph object and kept in its
+__dict__, beside the cached adjacency, so equality, hashing and repr, which
+read only the fields, never see them; callers only read them.
 """
 
 from __future__ import annotations
@@ -111,8 +114,15 @@ class SimpleGraph(_Value):
         """Every vertex's degree in the 2-core, 0 for a vertex peeled away.
 
         Leaves are peeled to a fixpoint; a vertex keeps the count of its
-        neighbours still in the graph until it is peeled.
+        neighbours still in the graph until it is peeled.  The peel runs
+        once per graph: the dict is kept in __dict__ under "_core_degree",
+        a key other than this method's name, which an instance attribute
+        would shadow, and every later call returns the same dict.  Callers
+        must not change it.
         """
+        degree = self.__dict__.get("_core_degree")
+        if degree is not None:
+            return degree
         nbrs = self._neighbours
         degree = {v: len(ns) for v, ns in nbrs.items()}
         leaves = [v for v, d in degree.items() if d == 1]
@@ -124,7 +134,8 @@ class SimpleGraph(_Value):
                     degree[w] -= 1
                     if degree[w] == 1:
                         leaves.append(w)
-        return degree
+        # setdefault: callers racing on one graph all get the first peel stored
+        return self.__dict__.setdefault("_core_degree", degree)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]

@@ -10,8 +10,9 @@ dumbbell core); a 2-connected rank-two core is a theta graph and supports
 only satisfiable sentences.
 
 The verdict starts from one leaf peel of the whole graph
-(SimpleGraph._core_degrees, the peel the census also reads), which leaves
-its 2-core's degrees.  Their excess X = sum(deg - 2) over the core is
+(SimpleGraph._core_degrees, kept on the graph, so the census and the
+pattern search on the same graph read it without peeling again), which
+leaves its 2-core's degrees.  Their excess X = sum(deg - 2) over the core is
 2 * sum(rank - 1) over the core's components, because the degrees sum to
 twice the edges and a component has |E| - |V| = rank - 1.  Peeling a leaf
 keeps its component's rank and a tree vanishes, so those components are
@@ -92,6 +93,12 @@ def pattern_graph(p: Pattern) -> SimpleGraph:
     return SimpleGraph.of(_PATTERN_EDGES[p])
 
 
+@cache
+def _pattern(p: Pattern) -> SimpleGraph:
+    """The one copy of a pattern that the search plans and checks read."""
+    return pattern_graph(p)
+
+
 class Reason(enum.Enum):
     """Structural certificate for graphs that support only satisfiable sentences."""
 
@@ -169,6 +176,17 @@ def find_topological_minor(
     constrained edge first.  Deterministic; returns the first embedding in
     the fixed iteration order, or None when no subdivision embeds.
 
+    A pattern vertex of degree d takes its candidates, in ascending order,
+    only from the host vertices of 2-core degree d or more (the host's
+    leaf peel, shared with decide_support and census).  This drops no
+    image a subdivision can use: every pattern vertex lies on a pattern
+    cycle, so its image lies on a host cycle, which is in the 2-core; and
+    its d paths leave it by d distinct edges into the core, since a simple
+    path between two core vertices never enters a tree hung on the core,
+    which it could leave only through the vertex it came in by.  Routing
+    still reads the host adjacency, so the free-neighbour counts, the least
+    map found and its paths are the ones the host-degree rule gives.
+
     Each partial map is checked as it grows (forward checking, Ullmann
     1976): once a pattern vertex is placed, the pattern edges among the
     placed vertices must route with every placed branch image blocked, or
@@ -189,8 +207,9 @@ def find_topological_minor(
     adj = host.adjacency
     if len(adj) < len(order) or len(host.edges) < n_edges:
         return None
+    core = host._core_degrees()
     hosts = sorted(adj)
-    by_need = {d: [hv for hv in hosts if len(adj[hv]) >= d] for d in set(needs)}
+    by_need = {d: [hv for hv in hosts if core[hv] >= d] for d in set(needs)}
     candidates = [by_need[d] for d in needs]
     if not all(candidates):
         return None
@@ -234,7 +253,7 @@ def _plan(
     Vertices are placed by falling degree, then by label.  Every part is a
     tuple, as every search shares them.
     """
-    pg = pattern_graph(pattern)
+    pg = _pattern(pattern)
     order = tuple(sorted(pg.vertices, key=lambda v: (-pg.degree(v), v)))
     edges = pg.sorted_edges()
     prefix = tuple(
@@ -329,7 +348,7 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
     Any id that is no host vertex, 0 and negative ids included, fails the
     check: the answer is False, never an error.
     """
-    pg = pattern_graph(pattern)
+    pg = _pattern(pattern)
     bm = dict(emb.branch_map)
     if set(bm) != pg.vertices:
         return False

@@ -12,7 +12,7 @@ degree-2 variable, and contraction at an edge not contained in a triangle.
 
 from __future__ import annotations
 
-from .formula import Clause, Cnf2, _clause, _pair_clauses, _Value, cnf_to_dimacs, rename_variables
+from .formula import Clause, Cnf2, _canonical, _pair_clauses, _Value, cnf_to_dimacs, rename_variables
 from .graph import (
     Edge,
     EdgeInTriangle,
@@ -206,7 +206,10 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
         raise InternalVerificationFailed("a positive verdict carries no embedding")
     emb = verdict.embedding
     branch = emb.branch_map
-    clauses: list[Clause] = []
+    # each clause as its first and last int; every one joins a distinct
+    # edge of g, so _canonical builds each Clause once and drops none
+    firsts: list[int] = []
+    lasts: list[int] = []
     for a, b in base_formula(verdict.pattern).cnf.clauses:
         path = emb.paths[(abs(a), abs(b))]
         lit = branch[abs(a)] if a > 0 else -branch[abs(a)]
@@ -215,24 +218,25 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
             path = path[::-1]
             lit, far_lit = far_lit, lit
         anchor, far = path[0], path[-1]
-        # every clause joins two distinct vertices of g, so _clause only
-        # puts its two ints in variable order
         for inner in path[1:-1]:
             # lift_subdivision puts the fresh variable positive beside the
             # smaller endpoint of the edge it splits
+            firsts.append(lit)
             if anchor < far:
-                clauses.append(_clause((lit, inner)))
+                lasts.append(inner)
                 lit = -inner
             else:
-                clauses.append(_clause((lit, -inner)))
+                lasts.append(-inner)
                 lit = inner
             anchor = inner
-        clauses.append(_clause((lit, far_lit)))
+        firsts.append(lit)
+        lasts.append(far_lit)
     _refuse_isolated(g)
-    # an edge (x, y), x < y, is already the positive clause in variable order
-    new = tuple.__new__
-    clauses += [new(Clause, e) for e in g.edges - emb.used_edges()]
-    s = Cnf2.of(clauses)
+    # an edge (x, y) is the positive clause (x y)
+    filler = g.edges - emb.used_edges()
+    firsts += [x for x, _ in filler]
+    lasts += [y for _, y in filler]
+    s = Cnf2._trusted(_canonical(firsts, lasts, max(g.vertices)))
     result = solve(s)
     if result.satisfiable:
         raise InternalVerificationFailed("synthesized sentence is satisfiable")

@@ -50,6 +50,8 @@ from satminors.minors import (
     Pattern,
     Reason,
     Verdict,
+    _plan,
+    _route_paths,
     _simple_paths,
     find_topological_minor,
     pattern_graph,
@@ -148,6 +150,13 @@ def random_sparse_graph(rng: random.Random, n: int, chords: int) -> SimpleGraph:
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     return SimpleGraph.of((ids[u - 1], ids[v - 1]) for u, v in edges)
+
+
+def sparse_graph_stream(count: int) -> list[SimpleGraph]:
+    """The first count graphs random_sparse_graph(rng, 8 + k % 23, 2 + k % 5)
+    draws from random.Random(20261104): trees on 8-30 vertices plus 2-6 chords."""
+    rng = random.Random(20261104)
+    return [random_sparse_graph(rng, 8 + k % 23, 2 + k % 5) for k in range(count)]
 
 
 def random_subdivision(rng: random.Random, base: list[tuple[int, int]], n: int) -> SimpleGraph:
@@ -808,6 +817,56 @@ def find_topological_minor_unpruned(
 
     assign(0)
     return found
+
+
+def find_topological_minor_by_host_degree(
+    host: SimpleGraph, pattern: Pattern, cap: int = 64
+) -> Embedding | None:
+    """Reference search: find_topological_minor with the host-degree candidate rule.
+
+    A pattern vertex of degree d takes every host vertex of degree d or
+    more as a candidate, tree vertices included, and no leaf peel is read.
+    The placement order, the forward checks and the routing are the
+    library's, so the two searches differ only in the candidates tried.
+    """
+    if len(host.vertices) > cap:
+        raise HostTooLarge(cap, len(host.vertices))
+    order, needs, prefix, n_edges = _plan(pattern)
+    adj = host.adjacency
+    if len(adj) < len(order) or len(host.edges) < n_edges:
+        return None
+    candidates = [[hv for hv in sorted(adj) if len(adj[hv]) >= d] for d in needs]
+    if not all(candidates):
+        return None
+    comp_of = _component_of(host)
+    branch: dict[int, int] = {}
+
+    def assign(i: int) -> Embedding | None:
+        home = comp_of[branch[order[0]]] if i else None
+        for hv in candidates[i]:
+            if hv in branch.values() or (home is not None and comp_of[hv] != home):
+                continue
+            branch[order[i]] = hv
+            routed = _route_paths(host, prefix[i], branch) if i > 1 else {}
+            if routed is not None:
+                found = Embedding(branch, routed) if i == len(order) - 1 else assign(i + 1)
+                if found is not None:
+                    return found
+            del branch[order[i]]
+        return None
+
+    return assign(0)
+
+
+def hung(rng: random.Random, core: list[tuple[int, int]], max_edges: int) -> SimpleGraph:
+    """core with random trees hung on it, at most max_edges edges in all, ids shuffled."""
+    edges = list(core)
+    top = max(v for e in core for v in e)
+    for v in range(top + 1, top + 1 + rng.randint(1, max_edges - len(core))):
+        edges.append((rng.randrange(1, v), v))
+    ids = list(range(1, v + 1))
+    rng.shuffle(ids)
+    return SimpleGraph.of((ids[a - 1], ids[b - 1]) for a, b in edges)
 
 
 def route_paths_unpruned(host: SimpleGraph, pg: SimpleGraph, branch) -> dict | None:

@@ -13,6 +13,7 @@ from corpus_util import (
     census_by_solver,
     formula_at_by_polarity,
     frontier_dp_sorted,
+    hung,
     tree_corpus,
     two_core_by_networkx,
 )
@@ -192,17 +193,6 @@ class TestCensus:
 
 
 CORES = {name: sorted(fixture_graph(name).edges) for name in ("butterfly", "bowtie", "k4", "book")}
-
-
-def hung(rng: random.Random, core: list[tuple[int, int]], max_edges: int) -> SimpleGraph:
-    """core with random trees hung on it, at most max_edges edges in all, ids shuffled."""
-    edges = list(core)
-    top = max(v for e in core for v in e)
-    for v in range(top + 1, top + 1 + rng.randint(1, max_edges - len(core))):
-        edges.append((rng.randrange(1, v), v))
-    ids = list(range(1, v + 1))
-    rng.shuffle(ids)
-    return SimpleGraph.of((ids[a - 1], ids[b - 1]) for a, b in edges)
 
 
 def scattered(rng: random.Random, max_edges: int) -> SimpleGraph:

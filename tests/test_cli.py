@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_util import ladder
+from corpus_util import ladder, sparse_graph_stream
 from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
@@ -379,6 +379,24 @@ class TestMinorCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "FOUND k4"
         assert err == ""
+
+    @pytest.mark.parametrize("k, answer", [(183, "NOT-FOUND"), (298, "FOUND butterfly")])
+    def test_sparse_host_within_a_memory_and_time_budget(self, capsys, tmp_path, k, answer):
+        # trees on 30 vertices with 4 chords, where the butterfly search once
+        # took seconds trying tree vertices as branch images; it now takes its
+        # candidates from the 2-core alone
+        path = write(tmp_path, "sparse.graph", edgelist_to_text(sparse_graph_stream(k + 1)[k]))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def limit_memory():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["minor", "butterfly", path]
+        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=2, preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.splitlines()[0] == answer
+        assert proc.stdout == run(capsys, *argv)[1]
 
 
 class TestFixtureCommand:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from corpus_util import (
     connected_components_by_edge_scan,
     cut_vertices_by_child_lists,
     cycle_rank_by_components,
+    hung,
     random_cnf,
     support_graph_by_multigraph,
     two_core_by_networkx,
@@ -21,10 +23,12 @@ from satminors import (
     SimpleGraph,
     associated_multigraph,
     as_simple,
+    census,
     connected_components,
     contract_edge,
     cut_vertices,
     cycle_rank,
+    decide_support,
     edgelist_to_text,
     fixture_graph,
     is_subgraph,
@@ -247,6 +251,49 @@ class TestTwoCore:
             degree = g._core_degrees()
             core = two_core_by_networkx(g)
             assert degree == {v: core.degree(v) if v in core.vertices else 0 for v in g.vertices}
+
+
+def fresh(g: SimpleGraph) -> SimpleGraph:
+    """An equal graph object with nothing computed on it yet."""
+    return SimpleGraph(g.vertices, g.edges)
+
+
+class TestPeelCache:
+    """The leaf peel runs once per graph object and is kept on it."""
+
+    def graphs(self) -> list[SimpleGraph]:
+        rng = random.Random(20261105)
+        graphs = [fixture_graph(name) for name in ("butterfly", "bowtie", "k4", "book", "hills:2")]
+        graphs += [hung(rng, sorted(g.edges), len(g.edges) + 3) for g in graphs[:4]]
+        graphs += [random_graph(rng, 9) for _ in range(60)] + [scattered_graph(rng) for _ in range(10)]
+        return graphs
+
+    def test_one_dict_equal_to_a_fresh_peel(self):
+        for g in self.graphs():
+            degree = g._core_degrees()
+            assert g._core_degrees() is degree and g._core_degrees() is degree
+            assert degree == fresh(g)._core_degrees()
+
+    def test_equality_hash_repr_and_pickle_unchanged(self):
+        for g in self.graphs():
+            twin = fresh(g)
+            before = (hash(g), repr(g))
+            g._core_degrees()
+            assert g == twin and twin == g and {g: 1}[twin] == 1
+            assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and (hash(back), repr(back)) == before
+            assert back._core_degrees() == g._core_degrees()
+
+    def test_census_verdict_and_core_agree_in_any_call_order(self):
+        calls = {"census": census, "decide_support": decide_support, "two_core": two_core}
+        for g in self.graphs():
+            if len(g.edges) > 10:
+                continue
+            alone = {name: call(fresh(g)) for name, call in calls.items()}
+            for order in itertools.permutations(calls):
+                shared = fresh(g)
+                assert {name: calls[name](shared) for name in order} == alone, (g, order)
 
 
 class TestCutVertices:

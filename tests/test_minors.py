@@ -10,14 +10,17 @@ from corpus_util import (
     ci_subsample,
     decide_support_by_components,
     decide_support_by_search,
+    find_topological_minor_by_host_degree,
     find_topological_minor_unpruned,
     has_book_by_flow,
     has_butterfly_by_cycles,
+    hung,
     hung_core_graph,
     ladder,
     random_sparse_graph,
     random_subdivision,
     simple_paths_recursive,
+    sparse_graph_stream,
     strip,
     two_core_by_networkx,
 )
@@ -127,6 +130,21 @@ class TestVerifyEmbedding:
         emb = find_topological_minor(host, Pattern.BUTTERFLY)
         assert emb is not None
         return host, emb
+
+    def test_one_pattern_graph_per_pattern(self, monkeypatch):
+        built = []
+        build = minors.pattern_graph
+
+        def counted(p):
+            built.append(p)
+            return build(p)
+
+        monkeypatch.setattr(minors, "pattern_graph", counted)
+        host, emb = self._embedding()
+        for _ in range(5):
+            assert verify_embedding(host, Pattern.BUTTERFLY, emb)
+            assert not verify_embedding(host, Pattern.BOWTIE, emb)
+        assert built.count(Pattern.BUTTERFLY) <= 1 and built.count(Pattern.BOWTIE) <= 1
 
     def test_round_trip(self):
         host, emb = self._embedding()
@@ -347,6 +365,60 @@ class TestPrunedSearch:
         witness = synthesize_witness(g)
         assert time.perf_counter() - start < 0.05
         assert witness is not None
+
+
+def assert_matches_host_degree_rule(graphs) -> int:
+    """The search returns the host-degree reference's result, value and repr,
+    for every pattern; count finds."""
+    found = [[find_topological_minor(g, p) for p in PATTERN_ORDER] for g in graphs]
+    expected = [[find_topological_minor_by_host_degree(g, p) for p in PATTERN_ORDER]
+                for g in graphs]
+    assert found == expected
+    assert [list(map(repr, row)) for row in found] == [list(map(repr, row)) for row in expected]
+    return sum(e is not None for row in found for e in row)
+
+
+class TestCoreCandidates:
+    """Branch images come from the 2-core, and the search finds what it found
+    when every host vertex of high enough degree was a candidate."""
+
+    def test_acceptance_corpus(self):
+        assert assert_matches_host_degree_rule(acceptance_corpus()) > 100
+
+    def test_atlas(self):
+        assert assert_matches_host_degree_rule(atlas_graphs()) > 1000
+
+    def test_random_sparse_graphs(self):
+        # a seeded sample of the 8-30-vertex trees with 2-6 chords that
+        # TestStructuralExistence draws; the reference is slow on some of them
+        stream = sparse_graph_stream(2000)
+        sample = random.Random(20261104).sample(range(2000), 20)
+        assert assert_matches_host_degree_rule([stream[k] for k in sample]) > 20
+
+    def test_subdivided_patterns_with_trees_hung_on(self):
+        rng = random.Random(20261105)
+        patterns = [p for p in PATTERN_ORDER for _ in range(5)]
+        graphs = [hung(rng, sorted(random_subdivision(rng, sorted(pattern_graph(p).edges),
+                                                      rng.randint(8, 12)).edges), 22)
+                  for p in patterns]
+        assert assert_matches_host_degree_rule(graphs) >= len(graphs)
+        assert all(find_topological_minor(g, p) is not None for g, p in zip(graphs, patterns))
+
+    def test_tree_vertices_are_never_candidates(self, monkeypatch):
+        # a butterfly on 10..14 with the path 1..10 hung on it: the path's
+        # vertices come first in id order, yet no branch image is placed there
+        g = SimpleGraph.of([(u + 9, v + 9) for u, v in pattern_graph(Pattern.BUTTERFLY).edges]
+                           + [(v, v + 1) for v in range(1, 10)])
+        placed = []
+        route_paths = minors._route_paths
+
+        def noted(host, edges, branch):
+            placed.append(set(branch.values()))
+            return route_paths(host, edges, branch)
+
+        monkeypatch.setattr(minors, "_route_paths", noted)
+        assert find_topological_minor(g, Pattern.BUTTERFLY) is not None
+        assert placed and all(images <= {10, 11, 12, 13, 14} for images in placed)
 
 
 def wheel(n: int) -> SimpleGraph:

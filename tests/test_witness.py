@@ -31,6 +31,7 @@ from satminors import (
     unsubdivide_witness,
     witness_to_dimacs,
 )
+from satminors import witness
 from satminors.fixtures import CONFIG_CODES
 from satminors.graph import EdgeInTriangle
 from satminors.witness import (
@@ -227,6 +228,22 @@ class TestSynthesizeWitness:
         assert len(w.clauses) == 6
         assert not solve(w).satisfiable
         assert support_graph(w) == g
+
+    def test_sentence_sorted_once(self, monkeypatch):
+        # the clauses go through one _canonical pass, with no Clause or
+        # sentence built before it
+        sorts = []
+        canonical = witness._canonical
+
+        def counted(*args):
+            sorts.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(witness, "_canonical", counted)
+        g = fixture_graph("hills:4")
+        w = synthesize_witness(g)
+        assert len(sorts) == 1 and len(w.clauses) == len(g.edges)
+        assert w == Cnf2.of(w.clauses) and support_graph(w) == g
 
     def test_triangle_has_none(self):
         assert synthesize_witness(fixture_graph("c3")) is None
