@@ -13,7 +13,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .census import TooManyEdges, census
-from .formula import Cnf2, FormulaError, ParseError, _lenient, cnf_to_dimacs, parse_dimacs
+from .formula import Cnf2, FormulaError, ParseError, _strict_int, cnf_to_dimacs, parse_dimacs
 from .sat import solve
 
 # Each handler imports the layers it runs, so a process compiles only those.
@@ -96,9 +96,7 @@ def _count_type(name: str):
     """The type of an option holding a count: ASCII digits, at least 0."""
     def read(text: str) -> int:
         try:
-            if _lenient(text):
-                raise ValueError
-            count = int(text)
+            count = _strict_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if count < 0:

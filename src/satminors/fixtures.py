@@ -10,7 +10,7 @@ path is rendered as a single edge.
 
 from __future__ import annotations
 
-from .formula import _lenient
+from .formula import _strict_int
 from .graph import SimpleGraph
 from .minors import Pattern, pattern_graph
 
@@ -125,9 +125,7 @@ def fixture_graph(name: str) -> SimpleGraph:
 
 def _int_arg(name: str, arg: str) -> int:
     try:
-        if _lenient(arg):
-            raise ValueError
-        value = int(arg)
+        value = _strict_int(arg)
     except ValueError:
         raise UnknownFixture(f"bad fixture argument in {name!r}") from None
     if value > MAX_FIXTURE_ARG:

@@ -522,9 +522,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Cnf2:
         if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
             raise ParseError(lineno, f"malformed problem line: {stripped!r}")
         try:
-            if _lenient(parts[2] + parts[3]):
-                raise ValueError
-            nvars, _ = int(parts[2]), int(parts[3])
+            nvars, _ = _strict_int(parts[2]), _strict_int(parts[3])
         except ValueError:
             raise ParseError(lineno, f"malformed problem line: {stripped!r}") from None
         if nvars < 0:
@@ -588,6 +586,13 @@ def _lenient(text: str) -> bool:
     return "_" in text or not text.isascii()
 
 
+def _strict_int(token: str) -> int:
+    """What int() reads from token, refused when the token is not ASCII or holds `_`."""
+    if _lenient(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _token_line(body: list[str], before: int, k: int) -> int:
     """The line number of body token k, where body follows line `before`."""
     for lineno, line in enumerate(body, start=before + 1):
@@ -601,10 +606,8 @@ def _token_line(body: list[str], before: int, k: int) -> int:
 def _token_error(tokens: list[str], body: list[str], before: int, nvars: int) -> FormulaError:
     """The error for the first body token that is no literal in range."""
     for k, token in enumerate(tokens):
-        if _lenient(token):
-            break
         try:
-            n = int(token)
+            n = _strict_int(token)
         except ValueError:
             break
         if abs(n) > nvars:

@@ -24,7 +24,7 @@ from itertools import chain
 from operator import lt, ne
 from typing import Iterable, Sequence
 
-from .formula import Cnf2, ParseError, _lenient, _Value
+from .formula import Cnf2, ParseError, _strict_int, _Value
 
 Edge = tuple[int, int]
 
@@ -443,9 +443,7 @@ def _parse_edgelist_lines(text: str) -> SimpleGraph:
 
 def _natural(token: str, least: int = 1) -> int:
     """The int a token of ASCII digits spells, if it is at least least."""
-    if _lenient(token):
-        raise ValueError(token)
-    n = int(token)
+    n = _strict_int(token)
     if n < least:
         raise ValueError(token)
     return n

@@ -536,15 +536,15 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
 
 
 def _rank_two_branch(
-    comp: SimpleGraph, degree: dict[int, int] | None = None
+    comp: SimpleGraph, degree: dict[int, int]
 ) -> tuple[Pattern, dict[int, int]] | None:
     """The pattern the 2-core of comp holds, when its excess is 2, and the
     branch map find_topological_minor(comp, pattern) returns; None for a theta.
 
     comp is a connected graph of cycle rank 2, or a graph whose core is one
     such component beside cycles.  degree holds the core degrees of comp,
-    or of a graph of which comp is a union of components; comp is peeled
-    when it is not given.  A rank-2 core of n vertices has n + 1 edges, so
+    or of a graph of which comp is a union of components.  A rank-2 core
+    of n vertices has n + 1 edges, so
     its degrees, each at least 2, sum to 2n + 2: it has one hub of degree
     4, a figure-eight (the butterfly), or two of degree 3 joined by three
     chains of degree-2 vertices.  Those make a theta, with no cut vertex
@@ -568,8 +568,6 @@ def _rank_two_branch(
     between core vertices never enters a tree hung on the core, so
     _route_paths on comp routes that map as the search's last level does.
     """
-    if degree is None:
-        degree = comp._core_degrees()
     hubs = sorted(v for v in comp.vertices if degree[v] > 2)
     nbrs = comp._neighbours
     loops: list[list[int]] = []

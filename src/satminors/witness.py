@@ -1,13 +1,13 @@
 """Construct unsatisfiable sentences supported exactly on a given graph.
 
 Each of the four minimal obstruction patterns carries a fixed base
-sentence.  A witness for an arbitrary qualifying graph is built by mapping
-the base sentence onto an embedded subdivision (introducing one fresh
-variable per subdivision point) and covering the remaining edges with
-all-positive filler clauses.  Every constructed witness is solver-verified
-before being returned.  The same machinery transports witnesses across the
-three support-preserving graph operations: subdivision, smoothing of a
-degree-2 variable, and contraction at an edge not contained in a triangle.
+sentence.  Transports carry a sentence across the paper's support-preserving
+graph operations: subdivision, smoothing of a degree-2 variable,
+contraction at an edge in no triangle, and extension to a supergraph.  A
+witness is built from them: the base sentence is mapped onto the
+embedding's branch map, each clause is lifted along its embedding path,
+and the edges no path uses are filled once.  Every witness is
+solver-verified before it is returned.
 """
 
 from __future__ import annotations
@@ -79,19 +79,45 @@ def lift_subdivision(s: Cnf2, e: Edge, w: int) -> Cnf2:
     both directions.
     """
     u, v = edge(*e)
-    if s.is_nontrivial and w in s.variables():
-        raise VariableCollision(f"variable {w} already occurs")
+    _check_fresh(s, w)
     matches = _pair_clauses(s, u, v)
     if not matches:
         raise EdgeAbsentInSupport(f"no clause over ({u}, {v})")
     if len(matches) > 1:
         raise ValueError(f"sentence is not simple at ({u}, {v})")
     (old,) = matches
-    lit_u, lit_v = old  # u < v, and a clause's ints are sorted by variable
-    rest = [c for c in s.clauses if c is not old]
-    rest.append(Clause.of(lit_u, w))
-    rest.append(Clause.of(-w, lit_v))
-    return Cnf2.of(rest)
+    firsts, lasts = [], []
+    # u < v, and a clause's ints are sorted by variable
+    _lift(*old, (u, w, v), firsts, lasts)
+    return Cnf2.of([*(c for c in s.clauses if c is not old), *map(Clause.of, firsts, lasts)])
+
+
+def _check_fresh(s: Cnf2, w: int) -> None:
+    """Refuse w as a new variable of s: it must be a positive id s does not use."""
+    if w < 1:
+        raise WitnessError(f"variable {w} is not a positive id")
+    if s.is_nontrivial and w in s.variables():
+        raise VariableCollision(f"variable {w} already occurs")
+
+
+def _lift(lit: int, far_lit: int, path: tuple[int, ...],
+          firsts: list[int], lasts: list[int]) -> None:
+    """Append the clause (lit far_lit), subdivided along path, as int pairs.
+
+    path runs from lit's variable to far_lit's.  Walking from its lower end,
+    each interior vertex splits the remaining edge to the far end and is
+    positive beside that edge's smaller endpoint, as lift_subdivision does.
+    """
+    if path[0] > path[-1]:
+        path = path[::-1]
+        lit, far_lit = far_lit, lit
+    far = path[-1]
+    for anchor, inner in zip(path, path[1:-1]):
+        firsts.append(lit)
+        lit = inner if anchor > far else -inner
+        lasts.append(-lit)
+    firsts.append(lit)
+    lasts.append(far_lit)
 
 
 def unsubdivide_witness(s: Cnf2, w: int, u: int, v: int) -> Cnf2:
@@ -121,27 +147,23 @@ def extend_to_supergraph(s: Cnf2, h: SimpleGraph) -> Cnf2:
     """
     if s.is_false:
         return s
-    if s.is_true:
-        covered: frozenset[Edge] = frozenset()
-        clauses: list[Clause] = []
-    else:
-        g = support_graph(s)
-        if not is_subgraph(g, h):
-            raise NotASubgraph("the sentence's support is not contained in the target graph")
-        covered = g.edges
-        clauses = list(s.clauses)
-    _refuse_isolated(h)
-    for x, y in sorted(h.edges - covered):
-        clauses.append(Clause.of(x, y))
-    return Cnf2.of(clauses)
+    g = support_graph(s) if s.is_nontrivial else SimpleGraph.of([])
+    if not is_subgraph(g, h):
+        raise NotASubgraph("the sentence's support is not contained in the target graph")
+    firsts, lasts = [], []
+    _fill(h, g.edges, firsts, lasts)
+    return Cnf2.of([*s.clauses, *map(Clause.of, firsts, lasts)])
 
 
-def _refuse_isolated(h: SimpleGraph) -> None:
-    uncovered_vertices = h.vertices - {x for e in h.edges for x in e}
-    if uncovered_vertices:
-        raise NotASubgraph(
-            f"isolated vertices {sorted(uncovered_vertices)} cannot support any clause"
-        )
+def _fill(h: SimpleGraph, covered: frozenset[Edge] | set[Edge],
+          firsts: list[int], lasts: list[int]) -> None:
+    """Append (x y) for every edge of h not in covered; h may have no isolated vertex."""
+    isolated = h.vertices - {x for e in h.edges for x in e}
+    if isolated:
+        raise NotASubgraph(f"isolated vertices {sorted(isolated)} cannot support any clause")
+    filler = h.edges - covered
+    firsts += [x for x, _ in filler]
+    lasts += [y for _, y in filler]
 
 
 def contract_witness(s: Cnf2, e: Edge, w: int) -> Cnf2:
@@ -162,8 +184,7 @@ def contract_witness(s: Cnf2, e: Edge, w: int) -> Cnf2:
         raise EdgeAbsentInSupport(f"({u}, {v}) is not a support edge")
     if set(g.neighbors(u)) & set(g.neighbors(v)):
         raise EdgeInTriangle(f"support edge ({u}, {v}) lies in a triangle")
-    if w in s.variables():
-        raise VariableCollision(f"variable {w} already occurs")
+    _check_fresh(s, w)
     (uv_clause,) = _pair_clauses(s, u, v)
     lit_u, lit_v = uv_clause
     out: list[Clause] = []
@@ -187,13 +208,12 @@ def contract_witness(s: Cnf2, e: Edge, w: int) -> Cnf2:
 def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     """Build a solver-verified unsatisfiable sentence supported exactly on g.
 
-    Returns None when no such sentence exists.  Otherwise maps each clause
-    of the embedded pattern's base sentence onto its embedding path, with
-    the branch vertices as its variables, as a chain of clauses through the
-    path's interior vertices.  The chain is the one lift_subdivision gives
-    when it subdivides the path's edge vertex by vertex, walking from the
-    lower-numbered endpoint.  The remaining edges of g are filled with
-    positive clauses, as extend_to_supergraph fills them.
+    Returns None when no such sentence exists.  Otherwise the witness is
+    built from the transports: the base sentence of the embedded pattern is
+    mapped onto the branch map, each of its clauses is lifted along its
+    embedding path (the lift of lift_subdivision), and the edges of g that
+    no path uses are filled once (the filler of extend_to_supergraph).  The
+    clauses are sorted once, when the sentence is built.
 
     The embedding is decide_support's verdict on g, which is cached on g:
     after decide_support(g, cap) no search runs again.  The solver check
@@ -208,34 +228,12 @@ def synthesize_witness(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
     branch = emb.branch_map
     # each clause as its first and last int; every one joins a distinct
     # edge of g, so _canonical builds each Clause once and drops none
-    firsts: list[int] = []
-    lasts: list[int] = []
+    firsts, lasts = [], []
     for a, b in base_formula(verdict.pattern).cnf.clauses:
-        path = emb.paths[(abs(a), abs(b))]
         lit = branch[abs(a)] if a > 0 else -branch[abs(a)]
         far_lit = branch[abs(b)] if b > 0 else -branch[abs(b)]
-        if path[0] > path[-1]:
-            path = path[::-1]
-            lit, far_lit = far_lit, lit
-        anchor, far = path[0], path[-1]
-        for inner in path[1:-1]:
-            # lift_subdivision puts the fresh variable positive beside the
-            # smaller endpoint of the edge it splits
-            firsts.append(lit)
-            if anchor < far:
-                lasts.append(inner)
-                lit = -inner
-            else:
-                lasts.append(-inner)
-                lit = inner
-            anchor = inner
-        firsts.append(lit)
-        lasts.append(far_lit)
-    _refuse_isolated(g)
-    # an edge (x, y) is the positive clause (x y)
-    filler = g.edges - emb.used_edges()
-    firsts += [x for x, _ in filler]
-    lasts += [y for _, y in filler]
+        _lift(lit, far_lit, emb.paths[(abs(a), abs(b))], firsts, lasts)
+    _fill(g, emb.used_edges(), firsts, lasts)
     s = Cnf2._trusted(_canonical(firsts, lasts, max(g.vertices)))
     result = solve(s)
     if result.satisfiable:

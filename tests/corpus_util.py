@@ -33,15 +33,15 @@ from satminors import (
     collapse_pair,
     decide_support,
     edge,
-    extend_to_supergraph,
-    lift_subdivision,
+    is_subgraph,
     reduce,
     rename_variables,
     solve,
     substitute,
+    support_graph,
 )
 from satminors.census import EdgePolarity, _slot_layout
-from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange, _clause
+from satminors.formula import ClauseTooLong, ParseError, VariableOutOfRange, _clause, _pair_clauses
 from satminors.graph import _blocks, _component_of, connected_components, cut_vertices
 from satminors.minors import (
     PATTERN_ORDER,
@@ -56,7 +56,7 @@ from satminors.minors import (
     find_topological_minor,
     pattern_graph,
 )
-from satminors.witness import NotASubgraph
+from satminors.witness import EdgeAbsentInSupport, NotASubgraph, VariableCollision
 
 CORPUS_SEED = 20260809
 FULL_CORPUS = os.environ.get("SATMINORS_FULL", "") not in ("", "0")
@@ -329,8 +329,53 @@ def simple_paths_recursive(host: SimpleGraph, start: int, goal: int, blocked: se
     yield from walk(start)
 
 
+def lift_subdivision_by_clause_of(s: Cnf2, e: tuple[int, int], w: int) -> Cnf2:
+    """Reference lift_subdivision: the clause on e replaced by two built by Clause.of."""
+    u, v = edge(*e)
+    if s.is_nontrivial and w in s.variables():
+        raise VariableCollision(f"variable {w} already occurs")
+    matches = _pair_clauses(s, u, v)
+    if not matches:
+        raise EdgeAbsentInSupport(f"no clause over ({u}, {v})")
+    if len(matches) > 1:
+        raise ValueError(f"sentence is not simple at ({u}, {v})")
+    (old,) = matches
+    lit_u, lit_v = old  # u < v, and a clause's ints are sorted by variable
+    rest = [c for c in s.clauses if c is not old]
+    rest.append(Clause.of(lit_u, w))
+    rest.append(Clause.of(-w, lit_v))
+    return Cnf2.of(rest)
+
+
+def extend_to_supergraph_by_clause_of(s: Cnf2, h: SimpleGraph) -> Cnf2:
+    """Reference extend_to_supergraph: one Clause.of per missing edge, in sorted order."""
+    if s.is_false:
+        return s
+    if s.is_true:
+        covered: frozenset = frozenset()
+        clauses: list[Clause] = []
+    else:
+        g = support_graph(s)
+        if not is_subgraph(g, h):
+            raise NotASubgraph("the sentence's support is not contained in the target graph")
+        covered = g.edges
+        clauses = list(s.clauses)
+    uncovered_vertices = h.vertices - {x for e in h.edges for x in e}
+    if uncovered_vertices:
+        raise NotASubgraph(
+            f"isolated vertices {sorted(uncovered_vertices)} cannot support any clause"
+        )
+    for x, y in sorted(h.edges - covered):
+        clauses.append(Clause.of(x, y))
+    return Cnf2.of(clauses)
+
+
 def witness_by_lifting(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
-    """Reference witness: rename the base sentence, then one lift_subdivision per interior vertex."""
+    """Reference witness: rename the base sentence, then lift one interior vertex at a time.
+
+    It runs the reference lift and extension above, so it shares no
+    construction code with synthesize_witness.
+    """
     verdict = decide_support(g, cap=cap)
     if not verdict.supports_unsat:
         return None
@@ -343,9 +388,9 @@ def witness_by_lifting(g: SimpleGraph, cap: int = 64) -> Cnf2 | None:
         far = path[-1]
         anchor = path[0]
         for inner in path[1:-1]:
-            s = lift_subdivision(s, edge(anchor, far), inner)
+            s = lift_subdivision_by_clause_of(s, edge(anchor, far), inner)
             anchor = inner
-    return extend_to_supergraph(s, g)
+    return extend_to_supergraph_by_clause_of(s, g)
 
 
 def support_graph_by_multigraph(s: Cnf2) -> SimpleGraph:

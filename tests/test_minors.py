@@ -764,7 +764,7 @@ def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -
 
 def rank_two_pattern(g: SimpleGraph) -> Pattern | None:
     """The pattern _rank_two_branch names, or None."""
-    found = _rank_two_branch(g)
+    found = _rank_two_branch(g, g._core_degrees())
     return found and found[0]
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +8,8 @@ from corpus_util import (
     acceptance_corpus,
     atlas_graphs,
     brute_force_satisfiable,
+    extend_to_supergraph_by_clause_of,
+    lift_subdivision_by_clause_of,
     perfbench_analyze_graphs,
     support_graph_by_multigraph,
     witness_by_clause_of,
@@ -19,6 +23,7 @@ from satminors import (
     contract_edge,
     contract_witness,
     decide_support,
+    edge,
     extend_to_supergraph,
     fixture_graph,
     lift_subdivision,
@@ -39,6 +44,7 @@ from satminors.witness import (
     EdgeAbsentInSupport,
     NotASubgraph,
     VariableCollision,
+    WitnessError,
 )
 
 
@@ -102,6 +108,13 @@ class TestLiftSubdivision:
             lift_subdivision(s, (1, 5), 9)
         with pytest.raises(VariableCollision):
             lift_subdivision(s, (1, 2), 3)
+
+    @pytest.mark.parametrize("w", [-3, 0])
+    def test_fresh_variable_must_be_positive(self, w):
+        # -3 would give (1 -3)(2 3)(-2 3)(3 4): two clauses on {2, 3}
+        s = Cnf2.from_ints([[1, 2], [-2, 3], [3, 4]])
+        with pytest.raises(WitnessError, match="not a positive id"):
+            lift_subdivision(s, (1, 2), w)
 
 
 class TestUnsubdivide:
@@ -197,6 +210,12 @@ class TestContractWitness:
         s = base_formula(Pattern.BOWTIE).cnf
         with pytest.raises(VariableCollision):
             contract_witness(s, (3, 4), 2)
+
+    @pytest.mark.parametrize("w", [-7, 0])
+    def test_fresh_variable_must_be_positive(self, w):
+        s = base_formula(Pattern.BOWTIE).cnf
+        with pytest.raises(WitnessError, match="not a positive id"):
+            contract_witness(s, (3, 4), w)
 
     def test_unsat_preserved_on_random_unsat_hosts(self):
         rng = random.Random(91)
@@ -294,6 +313,13 @@ class TestSynthesizeWitness:
             graphs += [subdivide_edge(g, e) for e in g.sorted_edges()]
         qualifying = [g for g in acceptance_corpus() if decide_support(g).supports_unsat]
         assert len(qualifying) > 100
+        # the benchmark's longest embedding paths
+        graphs += [
+            g
+            for seed in (1, 2, 3)
+            for g in perfbench_analyze_graphs(
+                seed, ("subdivided-k4", "subdivided-book", "figure-eight"))
+        ]
         for g in graphs + qualifying:
             assert synthesize_witness(g) == witness_by_lifting(g), g
 
@@ -304,6 +330,58 @@ def outcome(build, g: SimpleGraph):
         return repr(build(g))
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def random_simple_sentence(rng: random.Random) -> Cnf2:
+    """A nontrivial sentence of 1 to 9 two-literal clauses, at most one per pair of variables."""
+    every = list(itertools.combinations(range(1, rng.randint(2, 7) + 1), 2))
+    pairs = rng.sample(every, rng.randint(1, min(9, len(every))))
+    return Cnf2.from_ints([[rng.choice([1, -1]) * a, rng.choice([1, -1]) * b] for a, b in pairs])
+
+
+class TestAgainstReferenceTransports:
+    """lift_subdivision and extend_to_supergraph against the versions that
+    built each new clause by Clause.of: the same sentence, or the same
+    exception type and message, on seeded random simple sentences."""
+
+    def test_lift_subdivision(self):
+        rng = random.Random(2601)
+        kinds = Counter()
+        for _ in range(600):
+            s = random_simple_sentence(rng)
+            used = sorted(s.variables())
+            top = used[-1]
+            if rng.random() < 0.7:
+                e = rng.choice(support_graph(s).sorted_edges())
+            else:
+                e = tuple(rng.sample(range(1, top + 2), 2))
+            w = rng.choice([top + 1, top + rng.randint(2, 9), rng.choice(used)])
+            got = outcome(lambda s: lift_subdivision(s, e, w), s)
+            assert got == outcome(lambda s: lift_subdivision_by_clause_of(s, e, w), s), (s, e, w)
+            kinds[got[0] if isinstance(got, tuple) else "lifted"] += 1
+        assert kinds["lifted"] > 100
+        assert kinds[VariableCollision] > 100 and kinds[EdgeAbsentInSupport] > 20
+
+    def test_extend_to_supergraph(self):
+        rng = random.Random(2602)
+        kinds = Counter()
+        for _ in range(600):
+            s = random_simple_sentence(rng)
+            if rng.random() < 0.05:
+                s = rng.choice([Cnf2.true(), Cnf2.false()])
+            edges = set(support_graph(s).edges) if s.is_nontrivial else set()
+            top = max(s.variables(), default=2)
+            if edges and rng.random() < 0.2:
+                # h is no supergraph unless the edge is drawn again below
+                edges.remove(rng.choice(sorted(edges)))
+            for _ in range(rng.randint(0, 4)):
+                edges.add(edge(*rng.sample(range(1, top + 3), 2)))
+            isolated = [top + 3] if rng.random() < 0.2 else []
+            h = SimpleGraph.of(edges, isolated=isolated)
+            got = outcome(lambda s: extend_to_supergraph(s, h), s)
+            assert got == outcome(lambda s: extend_to_supergraph_by_clause_of(s, h), s), (s, h)
+            kinds[got[0] if isinstance(got, tuple) else "extended"] += 1
+        assert kinds["extended"] > 200 and kinds[NotASubgraph] > 100
 
 
 class TestAgainstClauseOf:
