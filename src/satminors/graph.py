@@ -13,6 +13,12 @@ read them as they are; every other pass reads the public adjacency, the same
 lists sorted.  Both are computed once per graph object and kept in its
 __dict__, beside the cached adjacency, so equality, hashing and repr, which
 read only the fields, never see them; callers only read them.
+
+The edge-list reader takes canonical text, `u v` lines with one space,
+each ended by a newline, as edgelist_to_text writes a graph with no
+isolated vertex, in a few C-level passes and one token stream.  Other
+plain text is recognised by a per-line regex and read the same way, and
+every other form goes through the line parser, with line-numbered errors.
 """
 
 from __future__ import annotations
@@ -126,13 +132,15 @@ class SimpleGraph(_Value):
         nbrs = self._neighbours
         degree = {v: len(ns) for v, ns in nbrs.items()}
         leaves = [v for v, d in degree.items() if d == 1]
-        while leaves:
-            v = leaves.pop()
+        # the list grows as the walk runs: a vertex joins it when its count
+        # falls to one, once, and the 2-core left does not depend on the order
+        for v in leaves:
             degree[v] = 0
             for w in nbrs[v]:
-                if degree[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
+                d = degree[w]
+                if d:
+                    degree[w] = d - 1
+                    if d == 2:
                         leaves.append(w)
         # setdefault: callers racing on one graph all get the first peel stored
         return self.__dict__.setdefault("_core_degree", degree)
@@ -392,6 +400,23 @@ def smooth_vertex(g: SimpleGraph, v: int) -> SimpleGraph:
 _NOT_PLAIN_LINE = re.compile(r"^(?![ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?(?:\r?\n|\Z))", re.M)
 
 
+def _is_canonical(text: str) -> bool:
+    """Whether every line of text is `<digits> <digits>`, ended by a newline.
+
+    Deleting the digits leaves one space and one newline per line, and no
+    space starts or ends a line, so no token is empty.  Each test is one
+    C-level pass; the regex tries a match at every character.
+    """
+    return (
+        text.endswith("\n")
+        and text.isascii()
+        and text.encode().translate(None, b"0123456789") == b" \n" * text.count("\n")
+        and not text.startswith(" ")
+        and "\n " not in text
+        and " \n" not in text
+    )
+
+
 def parse_edgelist(text: str) -> SimpleGraph:
     """Parse the edge-list format.
 
@@ -399,9 +424,12 @@ def parse_edgelist(text: str) -> SimpleGraph:
     `v <id>` declares an isolated vertex, and `u v` lines declare edges.
 
     Text made only of `u v` lines and blank lines is read as one token
-    stream; anything else, and every error, goes through the line parser.
+    stream.  Canonical text, `u v` lines with one space, each ended by a
+    newline, is recognised without the per-line regex; any other plain
+    text needs it.  Anything else, and every error, goes through the line
+    parser, so every form gives the same graph or error.
     """
-    if _NOT_PLAIN_LINE.search(text) is None:
+    if _is_canonical(text) or _NOT_PLAIN_LINE.search(text) is None:
         try:
             ids = list(map(int, text.split()))
         except ValueError:  # more digits than int() accepts

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 from functools import cache
+from operator import countOf
 from typing import Mapping, Sequence
 
 from .formula import _Value
@@ -505,7 +506,8 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
 def _decide(g: SimpleGraph, cap: int) -> Verdict:
     """The verdict of decide_support, computed afresh."""
     degree = g._core_degrees()
-    excess = sum(d - 2 for d in degree.values() if d)
+    # the core's degrees, less two per vertex still in it
+    excess = sum(degree.values()) - 2 * (len(degree) - countOf(degree.values(), 0))
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
     # with an excess of 2, the one rank-2 component's branch map is g's

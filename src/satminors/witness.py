@@ -84,7 +84,7 @@ def lift_subdivision(s: Cnf2, e: Edge, w: int) -> Cnf2:
     if not matches:
         raise EdgeAbsentInSupport(f"no clause over ({u}, {v})")
     if len(matches) > 1:
-        raise ValueError(f"sentence is not simple at ({u}, {v})")
+        raise WitnessError(f"sentence is not simple at ({u}, {v})")
     (old,) = matches
     firsts, lasts = [], []
     # u < v, and a clause's ints are sorted by variable

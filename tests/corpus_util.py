@@ -56,7 +56,7 @@ from satminors.minors import (
     find_topological_minor,
     pattern_graph,
 )
-from satminors.witness import EdgeAbsentInSupport, NotASubgraph, VariableCollision
+from satminors.witness import EdgeAbsentInSupport, NotASubgraph, VariableCollision, WitnessError
 
 CORPUS_SEED = 20260809
 FULL_CORPUS = os.environ.get("SATMINORS_FULL", "") not in ("", "0")
@@ -338,7 +338,7 @@ def lift_subdivision_by_clause_of(s: Cnf2, e: tuple[int, int], w: int) -> Cnf2:
     if not matches:
         raise EdgeAbsentInSupport(f"no clause over ({u}, {v})")
     if len(matches) > 1:
-        raise ValueError(f"sentence is not simple at ({u}, {v})")
+        raise WitnessError(f"sentence is not simple at ({u}, {v})")
     (old,) = matches
     lit_u, lit_v = old  # u < v, and a clause's ints are sorted by variable
     rest = [c for c in s.clauses if c is not old]
@@ -778,21 +778,25 @@ def _disjoint_paths(adj: dict[int, list[int]], s: int, t: int, want: int) -> int
 
 
 def hung_core_graph(rng: random.Random, core: str, n: int) -> SimpleGraph:
-    """A connected graph on n vertices, ids shuffled, that supports no unsatisfiable sentence.
+    """A connected graph on n vertices, ids shuffled, with the named 2-core.
 
     core "tree" gives a random recursive tree; "cycle" a cycle of 3 to n / 4
-    vertices and "theta" two hubs joined by three paths of 2 to n / 8 + 1
-    edges, each with random trees hung on to make up n vertices.
+    vertices, "theta" two hubs joined by three paths of 2 to n / 8 + 1
+    edges and "figure-eight" two cycles of 3 to n / 8 + 1 vertices through
+    one hub, each with random trees hung on to make up n vertices.  Only
+    the figure-eight supports an unsatisfiable sentence.
     """
     edges: list[tuple[int, int]] = []
     if core == "cycle":
         k = rng.randint(3, n // 4)
         edges = [(i, i % k + 1) for i in range(1, k + 1)]
-    elif core == "theta":
-        top = 2
-        for _ in range(3):
-            k = rng.randint(1, n // 8)
-            path = [1, *range(top + 1, top + k + 1), 2]
+    elif core in ("theta", "figure-eight"):
+        # paths between hubs 1 and 2, or loops at hub 1, of k inner vertices each
+        (start, end), paths, least = ((1, 2), 3, 1) if core == "theta" else ((1, 1), 2, 2)
+        top = end
+        for _ in range(paths):
+            k = rng.randint(least, n // 8)
+            path = [start, *range(top + 1, top + k + 1), end]
             top += k
             edges += zip(path, path[1:])
     top = max((v for e in edges for v in e), default=1)

@@ -13,6 +13,7 @@ from corpus_util import (
     cut_vertices_by_child_lists,
     cycle_rank_by_components,
     hung,
+    hung_core_graph,
     random_cnf,
     support_graph_by_multigraph,
     two_core_by_networkx,
@@ -20,6 +21,8 @@ from corpus_util import (
 from satminors import (
     Cnf2,
     Multigraph,
+    Pattern,
+    Reason,
     SimpleGraph,
     associated_multigraph,
     as_simple,
@@ -294,6 +297,23 @@ class TestPeelCache:
             for order in itertools.permutations(calls):
                 shared = fresh(g)
                 assert {name: calls[name](shared) for name in order} == alone, (g, order)
+
+
+class TestPeelAtScale:
+    """The leaf peel on 1500-vertex graphs with trees hung on their 2-cores."""
+
+    def test_matches_networkx_and_decides_as_built(self):
+        rng = random.Random(20261201)
+        built = {"tree": Reason.FOREST, "cycle": Reason.UNICYCLIC, "theta": Reason.THETA_CORE}
+        graphs = [(hung_core_graph(rng, core, 1500), why) for core, why in built.items() for _ in range(3)]
+        graphs += [(hung_core_graph(rng, "figure-eight", 1500), Pattern.BUTTERFLY) for _ in range(2)]
+        for g, why in graphs:
+            degree = g._core_degrees()
+            core = two_core_by_networkx(g)
+            assert degree == {v: core.degree(v) if v in core.vertices else 0 for v in g.vertices}
+            assert list(degree) == list(fresh(g)._core_degrees()) == list(g.vertices)
+            verdict = decide_support(g, cap=len(g.vertices))
+            assert (verdict.pattern if verdict.supports_unsat else verdict.reason) == why
 
 
 class TestCutVertices:
@@ -615,6 +635,50 @@ class TestEdgeListFastPath:
         assert parse_edgelist(" \n") == SimpleGraph.of([])
         big = SimpleGraph.of([(v // 2, v) for v in range(2, 1501)])
         assert parse_edgelist(edgelist_to_text(big)) == big
+
+    def test_canonical_text_skips_the_scan(self, monkeypatch):
+        class Refuse:
+            def search(self, text):
+                raise AssertionError(f"the plain-line scan ran on {text[:40]!r}")
+
+        def refuse(text):
+            raise AssertionError(f"line parser ran on {text[:40]!r}")
+
+        monkeypatch.setattr(graph_module, "_NOT_PLAIN_LINE", Refuse())
+        monkeypatch.setattr(graph_module, "_parse_edgelist_lines", refuse)
+        rng = random.Random(20261202)
+        graphs = [hung_core_graph(rng, "tree", 1500) for _ in range(3)]
+        for _ in range(3):  # random graphs without isolated vertices
+            graphs.append(SimpleGraph.of({edge(*rng.sample(range(1, 1501), 2)) for _ in range(2000)}))
+        for g in graphs:
+            assert parse_edgelist(edgelist_to_text(g)) == g
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.sorted_edges()]
+            assert parse_edgelist("".join(f"{a} {b}\n" for a, b in pairs)) == g
+
+    @pytest.mark.parametrize("text, canonical", [
+        (" 1 2\n", False), ("1 2 \n", False), ("1  2\n", False), ("1 2\n ", False),
+        ("12\n", False), ("1 2", False), ("", False), ("\n", False),
+        ("007 8\n", True), ("0 1\n", True), ("2 2\n", True),
+    ])
+    def test_canonical_check_named_cases(self, text, canonical):
+        assert graph_module._is_canonical(text) is canonical
+        assert_parsers_agree(text)
+
+    def test_canonical_check_is_sound(self):
+        # every text the check lets past the regex is one the regex passes
+        rng = random.Random(20261203)
+        damage = ["", *"1209 \n\t\r#v-+_\u0663"]
+        pieces = damage[1:] + ["12", "90", " ", "1 2\n", "9 10\n"]
+        texts = ["".join(rng.choices(pieces, k=rng.randint(0, 8))) for _ in range(20000)]
+        for _ in range(10000):  # canonical lines with one character inserted, replaced or deleted
+            text = "".join(f"{rng.randint(1, 99)} {rng.randint(1, 99)}\n" for _ in range(rng.randint(1, 4)))
+            at = rng.randrange(len(text) + 1)
+            texts.append(text[:at] + rng.choice(damage) + text[at + rng.randint(0, 1):])
+        accepted = [text for text in texts if graph_module._is_canonical(text)]
+        assert len(accepted) > 1500, len(accepted)
+        for text in accepted:
+            assert graph_module._NOT_PLAIN_LINE.search(text) is None, text
+            assert_parsers_agree(text)
 
     def test_plain_check_keeps_no_state_per_line(self):
         # a regex repeating a group over the lines keeps a backtracking frame

@@ -109,6 +109,11 @@ class TestLiftSubdivision:
         with pytest.raises(VariableCollision):
             lift_subdivision(s, (1, 2), 3)
 
+    def test_non_simple_sentence_raises_a_witness_error(self):
+        s = Cnf2.from_ints([[1, 2], [-1, -2]])
+        with pytest.raises(WitnessError, match=r"sentence is not simple at \(1, 2\)"):
+            lift_subdivision(s, (1, 2), 3)
+
     @pytest.mark.parametrize("w", [-3, 0])
     def test_fresh_variable_must_be_positive(self, w):
         # -3 would give (1 -3)(2 3)(-2 3)(3 4): two clauses on {2, 3}
