@@ -80,16 +80,16 @@ def _read_graph(path: str | None) -> SimpleGraph:
 
 
 def _sniff_graph_or_cnf(text: str) -> SimpleGraph | Cnf2:
+    """DIMACS when the first line neither blank nor a `#` comment starts with c or p.
+
+    parse_dimacs reads such a line as a comment or the problem line, and no
+    edge-list line starts with either letter.
+    """
     from .graph import parse_edgelist
 
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("c ") or stripped == "c" or stripped.startswith("p "):
-            return parse_dimacs(text)
-        break
-    return parse_edgelist(text)
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line and not line.startswith("#")), "")
+    return parse_dimacs(text) if first.startswith(("c", "p")) else parse_edgelist(text)
 
 
 def _count_type(name: str):

@@ -452,8 +452,8 @@ def atlas_graphs() -> list[SimpleGraph]:
     ]
 
 
-def perfbench_analyze_graphs(seed: int, families: tuple[str, ...]) -> list[SimpleGraph]:
-    """The graphs of the named families in the benchmark's analyze workload for a seed."""
+def perfbench_texts(workload: str, seed: int) -> list[tuple[str, str]]:
+    """The (family, text) input of every operation of a benchmark workload for a seed."""
     import satminors
 
     bench = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -462,10 +462,32 @@ def perfbench_analyze_graphs(seed: int, families: tuple[str, ...]) -> list[Simpl
         import ops
     finally:
         sys.path.remove(bench)
-    workload, _ = ops.build("analyze", seed, False, satminors)
-    return [
-        satminors.parse_edgelist(op.case.text) for op in workload if op.case.family in families
-    ]
+    return [(op.case.family, op.case.text) for op in ops.build(workload, seed, False, satminors)[0]]
+
+
+def perfbench_analyze_graphs(seed: int, families: tuple[str, ...]) -> list[SimpleGraph]:
+    """The graphs of the named families in the benchmark's analyze workload for a seed."""
+    from satminors import parse_edgelist
+
+    return [parse_edgelist(text) for family, text in perfbench_texts("analyze", seed) if family in families]
+
+
+# graph._is_canonical as it was before a token count replaced its substring scans
+def is_canonical_by_scans(text: str) -> bool:
+    """Whether every line of text is `<digits> <digits>`, ended by a newline.
+
+    Deleting the digits leaves one space and one newline per line, and no
+    space starts or ends a line, so no token is empty.  Each test is one
+    C-level pass; the regex tries a match at every character.
+    """
+    return (
+        text.endswith("\n")
+        and text.isascii()
+        and text.encode().translate(None, b"0123456789") == b" \n" * text.count("\n")
+        and not text.startswith(" ")
+        and "\n " not in text
+        and " \n" not in text
+    )
 
 
 def census_by_solver(g: SimpleGraph) -> CensusReport:

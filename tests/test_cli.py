@@ -19,6 +19,7 @@ from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
 from satminors.fixtures import MAX_FIXTURE_ARG, UnknownFixture
 from satminors.formula import ParseError
+from satminors.graph import MAX_VERTEX_COUNT
 
 S3_DIMACS = "p cnf 4 6\n1 2 0\n1 3 0\n-1 4 0\n-2 -3 0\n2 -4 0\n3 -4 0\n"
 
@@ -46,6 +47,17 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_limited(argv, timeout, stdin=None):
+    """The CLI in a fresh process with 1 GiB of address space."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def limit_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "satminors.cli", *argv], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=timeout, preexec_fn=limit_memory)
 
 
 class TestSolveCommand:
@@ -237,6 +249,19 @@ class TestAnalyzeCommand:
         assert out.splitlines()[0] == "simplification: simple"
         assert "only-satisfiable reason=forest" in out
 
+    @pytest.mark.parametrize("head", ["c\tnote\np cnf 3 2", "cnote\np cnf 3 2", "p\tcnf 3 2"])
+    def test_dimacs_by_its_first_letter(self, capsys, tmp_path, head):
+        # parse_dimacs takes any line starting with c as a comment and splits
+        # the problem line on any whitespace; analyze reads what solve reads
+        body = "\n1 2 0\n-2 3 0\n"
+        plain = run(capsys, "analyze", write(tmp_path, "plain.cnf", "p cnf 3 2" + body))
+        assert plain[:2] == (EXIT_OK, "simplification: simple\nonly-satisfiable reason=forest\n")
+        assert run(capsys, "analyze", write(tmp_path, "s.cnf", head + body)) == plain
+
+    def test_first_letter_c_without_a_problem_line_is_a_dimacs_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", write(tmp_path, "g.graph", "cat\n1 2\n"))
+        assert (code, out, err) == (EXIT_PARSE, "", "parse error: line 2: clause appears before the problem line\n")
+
     def test_dimacs_unsat_short_circuits(self, capsys, tmp_path):
         path = write(tmp_path, "m.cnf", "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
         code, out, _ = run(capsys, "analyze", path, "--json")
@@ -308,16 +333,25 @@ class TestCensusCommand:
         # ladder(100) has 298 edges and a sorted order 101 slots wide; the
         # census answers it in a fresh process with 1 GiB of address space
         path = write(tmp_path, "ladder.graph", edgelist_to_text(ladder(100)))
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-
-        def limit_memory():  # runs in the child only
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         argv = ["census", "--cap", "300", path]
-        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv], capture_output=True,
-                              text=True, env=env, timeout=30, preexec_fn=limit_memory)
+        proc = run_limited(argv, timeout=30)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout == run(capsys, *argv)[1]
+
+
+class TestVertexCountLimit:
+    """An `n <count>` line above MAX_VERTEX_COUNT is refused before any vertex is built."""
+
+    @pytest.mark.parametrize("command", ["analyze", "census"])
+    def test_huge_count_is_a_parse_error_within_a_memory_and_time_budget(self, command):
+        proc = run_limited([command], timeout=2, stdin="n 100000000\n")
+        assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+        assert proc.stderr == f"parse error: line 1: vertex count 100000000 exceeds {MAX_VERTEX_COUNT}\n"
+
+    def test_count_at_the_limit_is_read_within_a_memory_and_time_budget(self):
+        # 1000 lines at the limit build the vertex range once, not 1000 times
+        proc = run_limited(["analyze"], timeout=20, stdin=f"n {MAX_VERTEX_COUNT}\n" * 1000)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "only-satisfiable reason=forest\n", "")
 
 
 class TestMinorCommand:
@@ -386,14 +420,8 @@ class TestMinorCommand:
         # took seconds trying tree vertices as branch images; it now takes its
         # candidates from the 2-core alone
         path = write(tmp_path, "sparse.graph", edgelist_to_text(sparse_graph_stream(k + 1)[k]))
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-
-        def limit_memory():  # runs in the child only
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         argv = ["minor", "butterfly", path]
-        proc = subprocess.run([sys.executable, "-m", "satminors.cli", *argv], capture_output=True,
-                              text=True, env=env, timeout=2, preexec_fn=limit_memory)
+        proc = run_limited(argv, timeout=2)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout.splitlines()[0] == answer
         assert proc.stdout == run(capsys, *argv)[1]

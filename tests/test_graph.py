@@ -2,7 +2,6 @@ import itertools
 import pickle
 import random
 import time
-import tracemalloc
 
 import networkx as nx
 import pytest
@@ -14,6 +13,8 @@ from corpus_util import (
     cycle_rank_by_components,
     hung,
     hung_core_graph,
+    is_canonical_by_scans,
+    perfbench_texts,
     random_cnf,
     support_graph_by_multigraph,
     two_core_by_networkx,
@@ -45,6 +46,7 @@ from satminors import (
 from satminors import graph as graph_module
 from satminors.formula import ParseError
 from satminors.graph import (
+    MAX_VERTEX_COUNT,
     EdgeAbsent,
     EdgeInTriangle,
     MultiEdgePresent,
@@ -581,6 +583,12 @@ class TestEdgeListFormat:
     def test_other_whitespace_still_separates(self):
         assert parse_edgelist("1\xa02\n2 3 # \u0663\n") == SimpleGraph.of([(1, 2), (2, 3)])
 
+    def test_vertex_count_above_the_limit_rejected(self):
+        assert parse_edgelist("n 3\nn 0\n") == SimpleGraph.of([], isolated=[1, 2, 3])
+        with pytest.raises(ParseError) as err:
+            parse_edgelist(f"1 2\nn {MAX_VERTEX_COUNT + 1}\n")
+        assert str(err.value) == f"line 2: vertex count {MAX_VERTEX_COUNT + 1} exceeds {MAX_VERTEX_COUNT}"
+
 
 class TestEdgeListFastPath:
     """The one-pass parser against the line parser it falls back to."""
@@ -626,34 +634,25 @@ class TestEdgeListFastPath:
                 assert_parsers_agree(text + text[: len(text) // 2])
                 assert parse_edgelist(text).edges == g.edges
 
-    def test_plain_text_takes_one_pass(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError(f"line parser ran on {text!r}")
-
-        monkeypatch.setattr(graph_module, "_parse_edgelist_lines", refuse)
-        assert parse_edgelist("1 2\r\n\r\n 3\t4 ") == SimpleGraph.of([(1, 2), (3, 4)])
-        assert parse_edgelist(" \n") == SimpleGraph.of([])
-        big = SimpleGraph.of([(v // 2, v) for v in range(2, 1501)])
-        assert parse_edgelist(edgelist_to_text(big)) == big
-
     def test_canonical_text_skips_the_scan(self, monkeypatch):
-        class Refuse:
-            def search(self, text):
-                raise AssertionError(f"the plain-line scan ran on {text[:40]!r}")
-
         def refuse(text):
             raise AssertionError(f"line parser ran on {text[:40]!r}")
 
-        monkeypatch.setattr(graph_module, "_NOT_PLAIN_LINE", Refuse())
-        monkeypatch.setattr(graph_module, "_parse_edgelist_lines", refuse)
         rng = random.Random(20261202)
         graphs = [hung_core_graph(rng, "tree", 1500) for _ in range(3)]
         for _ in range(3):  # random graphs without isolated vertices
             graphs.append(SimpleGraph.of({edge(*rng.sample(range(1, 1501), 2)) for _ in range(2000)}))
+        texts = []
         for g in graphs:
-            assert parse_edgelist(edgelist_to_text(g)) == g
             pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.sorted_edges()]
-            assert parse_edgelist("".join(f"{a} {b}\n" for a, b in pairs)) == g
+            texts += [edgelist_to_text(g), "".join(f"{a} {b}\n" for a, b in pairs)]
+        bench = [text for seed in (1, 2, 3) for workload in ("analyze", "census")
+                 for _, text in perfbench_texts(workload, seed)]
+        assert all(map(is_canonical_by_scans, bench))
+        expected = [_parse_edgelist_lines(text) for text in texts + bench]
+        monkeypatch.setattr(graph_module, "_parse_edgelist_lines", refuse)
+        assert [parse_edgelist(text) for text in texts + bench] == expected
+        assert expected[:len(texts):2] == graphs
 
     @pytest.mark.parametrize("text, canonical", [
         (" 1 2\n", False), ("1 2 \n", False), ("1  2\n", False), ("1 2\n ", False),
@@ -661,11 +660,12 @@ class TestEdgeListFastPath:
         ("007 8\n", True), ("0 1\n", True), ("2 2\n", True),
     ])
     def test_canonical_check_named_cases(self, text, canonical):
-        assert graph_module._is_canonical(text) is canonical
+        assert is_canonical_by_scans(text) is canonical
+        assert (graph_module._canonical_ids(text) is not None) is canonical
         assert_parsers_agree(text)
 
     def test_canonical_check_is_sound(self):
-        # every text the check lets past the regex is one the regex passes
+        # the token count accepts exactly what the substring scans accepted
         rng = random.Random(20261203)
         damage = ["", *"1209 \n\t\r#v-+_\u0663"]
         pieces = damage[1:] + ["12", "90", " ", "1 2\n", "9 10\n"]
@@ -674,23 +674,13 @@ class TestEdgeListFastPath:
             text = "".join(f"{rng.randint(1, 99)} {rng.randint(1, 99)}\n" for _ in range(rng.randint(1, 4)))
             at = rng.randrange(len(text) + 1)
             texts.append(text[:at] + rng.choice(damage) + text[at + rng.randint(0, 1):])
-        accepted = [text for text in texts if graph_module._is_canonical(text)]
-        assert len(accepted) > 1500, len(accepted)
-        for text in accepted:
-            assert graph_module._NOT_PLAIN_LINE.search(text) is None, text
+        accepted = 0
+        for text in texts:
+            canonical = graph_module._canonical_ids(text) is not None
+            assert canonical is is_canonical_by_scans(text), text
+            accepted += canonical
             assert_parsers_agree(text)
-
-    def test_plain_check_keeps_no_state_per_line(self):
-        # a regex repeating a group over the lines keeps a backtracking frame
-        # per line (about 0.6 kB); the check tries each line on its own
-        text = "12 34\n" * 20000
-        tracemalloc.start()
-        try:
-            assert graph_module._NOT_PLAIN_LINE.search(text) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert accepted > 1500, accepted
 
     def test_seeded_mutations(self):
         # plain edge lists with one line damaged, so that most take the line parser
