@@ -26,9 +26,12 @@ so a qualifying rank-two component holds neither, and its core names the
 one pattern it holds: a figure-eight the butterfly, a dumbbell the bowtie
 (its two cycles are disjoint, so no butterfly).  Its embedding is read off
 the core's two loops in linear time, and it is the one the generic
-subdivision-embedding search would return; no search runs.  In a
-component of rank three or more, one pass over the blocks names the
-first pattern that embeds, and the search runs once, for it.  A weighted
+subdivision-embedding search would return; no search runs.  The same walk
+of the core's chains reads a rank-three core that subdivides K4 (four hubs
+of degree 3, joined pairwise) or the book (two hubs of degree 4, joined by
+four chains), again with no search.  In every other component of rank
+three or more, one pass over the blocks names the first pattern that
+embeds, and the search runs once, for it.  A weighted
 series-parallel reduction per block decides K4, which embeds iff some
 block keeps more than two vertices (Duffin 1965), and the book, which
 embeds iff two vertices are joined by four internally disjoint paths,
@@ -480,9 +483,12 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     figure-eight) the butterfly, two hubs of degree 3 (a dumbbell) the
     bowtie.  No test or search runs: the least branch map is read off the
     core's two loops and its paths are routed once, which is the search's
-    last step (see _rank_two_branch).  On a component of rank three or
-    more, one pass over its blocks names the first pattern in
-    PATTERN_ORDER that embeds, K4, the book, the butterfly or else the
+    last step (see _core_branch).  A component of rank three whose core
+    is a subdivision of K4 (four hubs of degree 3, joined pairwise by six
+    chains) or of the book (two hubs of degree 4, joined by four chains)
+    is read off its chains the same way.  On every other component of
+    rank three or more, one pass over its blocks names the first pattern
+    in PATTERN_ORDER that embeds, K4, the book, the butterfly or else the
     bowtie (see _rank_three_pattern), and the search runs once, for it.
     Every skipped search could only have failed, so the embedding is the
     one the search of every pattern in order finds first.  A qualifying
@@ -511,25 +517,28 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
     # with an excess of 2, the one rank-2 component's branch map is g's
-    core = _rank_two_branch(g, degree) if excess == 2 else None
+    core = _core_branch(g, degree) if excess == 2 else None
     if excess == 2 and core is None:
         return Verdict(False, reason=Reason.THETA_CORE)
     for comp in connected_components(g):
         # a component is connected, so its cycle rank is |E| - |V| + 1
         rank = len(comp.edges) - len(comp.vertices) + 1
         if rank == 2 and excess > 2:
-            core = _rank_two_branch(comp, degree)
+            core = _core_branch(comp, degree)
         if rank < 2 or rank == 2 and core is None:
             continue
         if len(comp.vertices) > cap:
             raise HostTooLarge(cap, len(comp.vertices))
-        if rank == 2:
+        if rank > 2:
+            core = _core_branch(comp, degree)
+        if core is None:
+            pattern = _rank_three_pattern(comp)
+            emb = find_topological_minor(comp, pattern, cap=cap)
+        else:
             # the search's last level: route every pattern edge at once
             pattern, branch = core
             routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
-            return Verdict(True, pattern=pattern, embedding=Embedding(branch, routed))
-        pattern = _rank_three_pattern(comp)
-        emb = find_topological_minor(comp, pattern, cap=cap)
+            emb = None if routed is None else Embedding(branch, routed)
         if emb is None:
             raise AssertionError(f"{pattern.name} was named but does not embed in {comp!r}")
         return Verdict(True, pattern=pattern, embedding=emb)
@@ -537,46 +546,86 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     return Verdict(False, reason=Reason.THETA_CORE)
 
 
-def _rank_two_branch(
+# the hub degrees of a 2-core, sorted by hub, that name the pattern its
+# chains may hold: a figure-eight, a dumbbell or theta, K4 and the book
+_CORE_SHAPES = {
+    (4,): Pattern.BUTTERFLY,
+    (3, 3): Pattern.BOWTIE,
+    (3, 3, 3, 3): Pattern.K4,
+    (4, 4): Pattern.BOOK,
+}
+
+
+def _core_branch(
     comp: SimpleGraph, degree: dict[int, int]
 ) -> tuple[Pattern, dict[int, int]] | None:
-    """The pattern the 2-core of comp holds, when its excess is 2, and the
-    branch map find_topological_minor(comp, pattern) returns; None for a theta.
+    """The pattern the 2-core of comp holds and the branch map
+    find_topological_minor(comp, pattern) returns, when the core is a
+    figure-eight, a dumbbell, or a subdivision of K4 or of the book; None
+    for any other core.
 
-    comp is a connected graph of cycle rank 2, or a graph whose core is one
-    such component beside cycles.  degree holds the core degrees of comp,
-    or of a graph of which comp is a union of components.  A rank-2 core
-    of n vertices has n + 1 edges, so
-    its degrees, each at least 2, sum to 2n + 2: it has one hub of degree
-    4, a figure-eight (the butterfly), or two of degree 3 joined by three
-    chains of degree-2 vertices.  Those make a theta, with no cut vertex
-    and no pattern, unless one leaves the lesser hub and comes back to it,
-    a dumbbell (the bowtie).  One walk of the chains from each hub finds
-    its loops, without building the core.  So the answer is not None
-    exactly when cut_vertices(two_core(comp)) is not empty.
+    comp is a connected graph, or a graph whose core is one connected
+    component beside cycles.  degree holds the core degrees of comp, or of
+    a graph of which comp is a union of components.  Its hubs, the core
+    vertices of degree 3 or more, are joined by chains of degree-2 vertices;
+    one walk of the chains from the hubs, each chain walked once from its
+    lesser end, finds them all without building the core.  A core of cycle
+    rank r has excess sum(deg - 2) = 2(r - 1), so the hub degrees tell the
+    shapes apart before any walk:
+    - Rank 2: one hub of degree 4 closes two loops, a figure-eight (the
+      butterfly); two hubs of degree 3 make a theta, with no cut vertex and
+      no pattern, unless each closes a loop, a dumbbell (the bowtie).  So
+      at rank 2 the answer is not None exactly when
+      cut_vertices(two_core(comp)) is not empty.
+    - Rank 3: four hubs of degree 3 that six chains join pairwise are a K4
+      subdivision, and two hubs of degree 4 that four chains join (at most
+      one an edge, as comp is simple) a book subdivision.  K4 is the first
+      pattern, and a book subdivision holds no K4, which needs four core
+      vertices of degree 3.
+    Every other core of rank 3 or more, among them those hub degrees with a
+    loop or with two chains joining one pair of hubs, is left to
+    _rank_three_pattern.
 
     The search tries each placed vertex's candidates in ascending order,
     and its forward checks drop only maps that cannot route, so it returns
     the least routable branch map in _plan(pattern) order.  Every pattern
-    vertex lies on a pattern cycle, so its image lies in the core, whose
-    only cycles are its two loops, one per pattern triangle.  So the
-    butterfly's 3 goes to the hub, and the bowtie's 3 and 4, joined by a
-    path that leaves both loops, to the two hubs; every other vertex goes
-    into its triangle's loop, and every such map routes along the loops.
-    The least sends the butterfly's 1 to the least non-hub vertex, 2 to the
-    least other one of 1's loop, and 4 and 5 to the two least of the other
-    loop; the bowtie's 3 to the lesser hub, 1 and 2 to the two least
-    non-hub vertices of 3's loop, and 5 and 6 of 4's.  A simple path
-    between core vertices never enters a tree hung on the core, so
-    _route_paths on comp routes that map as the search's last level does.
+    vertex lies on a pattern cycle, so its image lies in the core, and a
+    simple path between core vertices never enters a tree hung on it.
+    - The core's only cycles are a figure-eight's or dumbbell's two loops,
+      one per pattern triangle.  So the butterfly's 3 goes to the hub, and
+      the bowtie's 3 and 4, joined by a path that leaves both loops, to the
+      two hubs; every other vertex goes into its triangle's loop, and every
+      such map routes along the loops.  The least sends the butterfly's 1
+      to the least non-hub vertex, 2 to the least other one of 1's loop,
+      and 4 and 5 to the two least of the other loop; the bowtie's 3 to the
+      lesser hub, 1 and 2 to the two least non-hub vertices of 3's loop,
+      and 5 and 6 of 4's.
+    - K4's four vertices, of degree 3, can go only to the four hubs, and
+      every such map routes along the chains; the least sends 1, 2, 3 and
+      4 to the sorted hubs.
+    - The book's 2 and 4, of degree 4 and placed first, go to the two hubs,
+      the lesser first.  Its 1, 3 and 5, of degree 2 and placed in that
+      order, each join both hubs, so each goes inside a chain, whose two
+      ends are its only way out, and no two share one.  Every such map
+      routes, 2 to 4 along the fourth chain.  The least sends 1 to the
+      least interior vertex, 3 to the least one off 1's chain, and 5 to the
+      least one off both: the least interior vertices of the three chains
+      whose least interior vertices are smallest, in that order.
+    Routing that map is the search's last level.
     """
     hubs = sorted(v for v in comp.vertices if degree[v] > 2)
+    pattern = _CORE_SHAPES.get(tuple(degree[v] for v in hubs))
+    if pattern is None:
+        return None
     nbrs = comp._neighbours
-    loops: list[list[int]] = []
+    # each chain's ends, lesser hub first, its interior, and the hub and
+    # the last step of every chain walked, which start it walked backwards
+    ends: list[tuple[int, int]] = []
+    interiors: list[list[int]] = []
+    walked: set[tuple[int, int]] = set()
     for hub in hubs:
         for first in nbrs[hub]:
-            # a loop's last vertex starts the same loop walked backwards
-            if not degree[first] or any(loop[-1] == first for loop in loops):
+            if not degree[first] or (hub, first) in walked:
                 continue
             prev, v, chain = hub, first, []
             while degree[v] == 2:
@@ -585,15 +634,19 @@ def _rank_two_branch(
                     if degree[w] and w != prev:
                         break
                 prev, v = v, w
-            if v == hub:
-                loops.append(chain)
-        if not loops:
-            return None
-    heads = [sorted(loop)[:2] for loop in loops]
-    if len(hubs) == 1:
+            walked.add((v, prev))
+            ends.append((hub, v))
+            interiors.append(chain)
+    # the two least vertices of each loop, the lesser hub's loops first
+    heads = [sorted(chain)[:2] for (a, b), chain in zip(ends, interiors) if a == b]
+    if pattern is Pattern.BUTTERFLY:
         # the loop that holds the least non-hub vertex first
-        pattern = Pattern.BUTTERFLY
         heads.sort()
-    else:
-        pattern = Pattern.BOWTIE
-    return pattern, dict(zip(_plan(pattern)[0], [*hubs, *heads[0], *heads[1]]))
+    elif pattern is Pattern.BOWTIE:
+        if not heads:
+            return None
+    elif heads or pattern is Pattern.K4 and len(set(ends)) < len(ends):
+        return None
+    elif pattern is Pattern.BOOK:
+        heads = [sorted(min(chain) for chain in interiors if chain)[:3]]
+    return pattern, dict(zip(_plan(pattern)[0], [*hubs, *(v for head in heads for v in head)]))

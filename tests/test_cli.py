@@ -500,9 +500,18 @@ class TestInternalChecks:
         assert "Traceback" not in err
 
     def test_decider_naming_a_pattern_that_does_not_embed(self, capsys, tmp_path, monkeypatch):
-        # K4 has maximum degree 3, so the butterfly's degree-4 vertex has no image
+        # the prism is cubic of cycle rank 4, so the block pass names its
+        # pattern, and the butterfly's degree-4 vertex has no image
         monkeypatch.setattr(minors, "_rank_three_pattern", lambda comp: minors.Pattern.BUTTERFLY)
-        path = write(tmp_path, "k4.graph", self.K4_TEXT)
+        path = write(tmp_path, "prism.graph", "1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n1 4\n2 5\n3 6\n")
+        self.assert_internal_error(*run(capsys, "analyze", path))
+
+    # a figure-eight and K4, whose embeddings are read off the core and routed once
+    @pytest.mark.parametrize("text", ["1 2\n1 3\n2 3\n1 4\n1 5\n4 5\n", K4_TEXT],
+                             ids=["figure-eight", "k4"])
+    def test_core_map_that_does_not_route(self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(minors, "_route_paths", lambda host, edges, branch: None)
+        path = write(tmp_path, "core.graph", text)
         self.assert_internal_error(*run(capsys, "analyze", path))
 
     def test_census_example_the_solver_calls_satisfiable(self, capsys, tmp_path, monkeypatch):

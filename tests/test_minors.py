@@ -17,6 +17,7 @@ from corpus_util import (
     hung,
     hung_core_graph,
     ladder,
+    perfbench_analyze_graphs,
     random_sparse_graph,
     random_subdivision,
     simple_paths_recursive,
@@ -47,8 +48,8 @@ from satminors import minors
 from satminors.minors import (
     PATTERN_ORDER,
     HostTooLarge,
+    _core_branch,
     _rank_three_pattern,
-    _rank_two_branch,
 )
 
 
@@ -601,7 +602,8 @@ class TestSearchOnce:
         start = time.perf_counter()
         verdict = decide_support(g)
         assert time.perf_counter() - start < 0.1
-        assert calls == [(verdict.pattern, True)]
+        # a subdivided book's embedding is read off its core, with no search
+        assert calls == ([] if head == "book" else [(verdict.pattern, True)])
         assert verify_embedding(g, verdict.pattern, verdict.embedding)
 
     def test_one_successful_search_per_rank_three_verdict(self, monkeypatch):
@@ -611,16 +613,23 @@ class TestSearchOnce:
         graphs += [random_sparse_graph(rng, 8 + k % 5, 2 + k % 3) for k in range(200)]
         calls = self.count_searches(monkeypatch)
         named = set()
+        read_off = searched = 0
         for g in graphs:
             calls.clear()
             verdict = decide_support(g)
             # every graph here is connected
             if cycle_rank(g) >= 3:
-                assert calls == [(verdict.pattern, True)], g
+                # a subdivision of K4 or the book inside a rank-3 core has the
+                # core's rank and no leaf, so it is the core, read off unsearched
+                subdivision = cycle_rank(g) == 3 and verdict.pattern in (Pattern.K4, Pattern.BOOK)
+                assert calls == ([] if subdivision else [(verdict.pattern, True)]), g
                 named.add(verdict.pattern)
+                read_off += subdivision
+                searched += not subdivision
             else:
                 assert calls == [], g
         assert named == set(Pattern)
+        assert read_off > 50 and searched > 50
 
     def test_matches_searching_every_pattern(self):
         # the verdicts, patterns and embeddings of the decider that searched
@@ -691,14 +700,23 @@ class TestVerdictCache:
         assert decide_support(negative) is decide_support(negative)
 
     def test_caps_cached_apart(self, monkeypatch):
+        # a subdivided book runs no search: its core's one routing marks each decision
         g = subdivided_books()[0]
         searches = self.count_searches(monkeypatch)
+        routings = []
+        route_paths = minors._route_paths
+
+        def counted(*args):
+            routings.append(args[2])
+            return route_paths(*args)
+
+        monkeypatch.setattr(minors, "_route_paths", counted)
         at_64 = decide_support(g)
         at_100 = decide_support(g, cap=100)
-        assert searches == [Pattern.BOOK, Pattern.BOOK]
-        assert at_64 == at_100 and at_64 is not at_100
+        assert searches == [] and len(routings) == 2 and routings[0] == routings[1]
+        assert at_64 == at_100 and at_64 is not at_100 and at_64.pattern is Pattern.BOOK
         assert decide_support(g, cap=64) is at_64 and decide_support(g, cap=100) is at_100
-        assert len(searches) == 2
+        assert len(routings) == 2
 
     def test_refusal_not_cached(self):
         g = fixture_graph("hills:3")  # one qualifying component of 7 vertices
@@ -762,14 +780,15 @@ def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -
     return SimpleGraph.of([(labels[u - 1], labels[v - 1]) for u, v in edges])
 
 
-def rank_two_pattern(g: SimpleGraph) -> Pattern | None:
-    """The pattern _rank_two_branch names, or None."""
-    found = _rank_two_branch(g, g._core_degrees())
+def core_pattern(g: SimpleGraph) -> Pattern | None:
+    """The pattern _core_branch names, or None; on a component of rank 3,
+    K4 or the book when its core is a subdivision of it."""
+    found = _core_branch(g, g._core_degrees())
     return found and found[0]
 
 
 class TestRankTwoShape:
-    """_rank_two_branch names a pattern exactly when the 2-core of c has a cut vertex.
+    """_core_branch names a pattern exactly when the 2-core of c has a cut vertex.
 
     A figure-eight core names the butterfly and a dumbbell the bowtie.
     """
@@ -780,7 +799,7 @@ class TestRankTwoShape:
     def test_acceptance_corpus(self):
         comps = [c for g in acceptance_corpus() for c in connected_components(g)]
         rank_two = [c for c in comps if len(c.edges) - len(c.vertices) + 1 == 2]
-        got = [rank_two_pattern(c) is not None for c in rank_two]
+        got = [core_pattern(c) is not None for c in rank_two]
         assert got == [bool(cut_vertices(two_core_by_networkx(c))) for c in rank_two]
         assert sum(got) > 20 and len(got) - sum(got) > 100
 
@@ -792,7 +811,7 @@ class TestRankTwoShape:
                 g = rank_two_graph(rng, shape, n)
                 assert len(g.vertices) == n and len(g.edges) == n + 1
                 assert bool(cut_vertices(two_core_by_networkx(g))) is (expected is not None), (shape, g)
-                assert rank_two_pattern(g) is expected, (shape, g)
+                assert core_pattern(g) is expected, (shape, g)
 
     def test_bare_cores(self):
         # no trees hung on: every vertex is in the core
@@ -800,7 +819,7 @@ class TestRankTwoShape:
         for shape, expected in self.PATTERNS.items():
             for _ in range(10):
                 g = rank_two_graph(rng, shape, 40, trees=False)
-                assert rank_two_pattern(g) is expected, (shape, g)
+                assert core_pattern(g) is expected, (shape, g)
 
 
 RANK_TWO_SHAPES = ("figure-eight", "dumbbell", "theta", "theta-edge")
@@ -949,17 +968,19 @@ class TestRankTwoGate:
         assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))
 
 
-def assert_built_as_searched(graphs) -> int:
-    """Every qualifying rank-2 component's embedding, as decide_support
-    builds it, against find_topological_minor's: value, repr and key order.
+def assert_built_as_searched(graphs, rank: int = 2) -> int:
+    """Every embedding decide_support reads off the core of a component of
+    the given cycle rank, against find_topological_minor's: value, repr and
+    key order.
 
     Returns the number of components compared.
     """
     compared = 0
     for g in graphs:
         for comp in connected_components(g):
-            rank = len(comp.edges) - len(comp.vertices) + 1
-            if rank != 2 or (pattern := rank_two_pattern(comp)) is None:
+            if len(comp.edges) - len(comp.vertices) + 1 != rank:
+                continue
+            if (pattern := core_pattern(comp)) is None:
                 continue
             verdict = decide_support(comp)
             built, searched = verdict.embedding, find_topological_minor(comp, pattern)
@@ -997,3 +1018,93 @@ class TestRankTwoEmbedding:
                   for _ in range(3)]
         graphs += [relabelled(rng, g) for g in graphs]
         assert assert_built_as_searched(graphs) == len(graphs)
+
+
+def hung_subdivision(rng: random.Random, pattern: Pattern, n: int) -> SimpleGraph:
+    """A random subdivision of the pattern on about n / 2 vertices, with
+    random trees hung on it to make n vertices, ids shuffled."""
+    core = random_subdivision(rng, sorted(pattern_graph(pattern).edges), max(6, n // 2))
+    edges = sorted(core.edges)
+    edges += [(rng.randrange(1, v), v) for v in range(len(core.vertices) + 1, n + 1)]
+    return relabelled(rng, SimpleGraph.of(edges))
+
+
+class TestRankThreeGate:
+    """A rank-3 core that subdivides K4 or the book runs no block pass and
+    no search.
+
+    Its embedding is read off the core's chains and routed by one
+    _route_paths call, the search's last level.
+    """
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("a K4 or book subdivision ran the block pass or a search")
+
+    def test_subdivisions_with_trees_skip_the_tests(self, monkeypatch):
+        rng = random.Random(20261105)
+        graphs = [hung_subdivision(rng, p, n) for p in (Pattern.K4, Pattern.BOOK)
+                  for n in (6, 12, 24, 40, 64) for _ in range(3)]
+        graphs += subdivided_books()
+        # the decider that tried every pattern in turn, on copies
+        expected = [decide_support_by_components(SimpleGraph.of(sorted(g.edges))) for g in graphs]
+
+        route_paths = minors._route_paths
+        routings = []
+
+        def counted(host, edges, branch):
+            routings.append(len(edges))
+            return route_paths(host, edges, branch)
+
+        monkeypatch.setattr(minors, "_rank_three_pattern", self._refuse)
+        monkeypatch.setattr(minors, "find_topological_minor", self._refuse)
+        monkeypatch.setattr(minors, "_route_paths", counted)
+        got = [decide_support(g) for g in graphs]
+        assert got == expected
+        # one routing of every pattern edge per verdict
+        assert routings == [len(pattern_graph(v.pattern).edges) for v in got]
+        assert [v.pattern for v in got[:30]] == [p for p in (Pattern.K4, Pattern.BOOK) for _ in range(15)]
+        assert max(len(g.vertices) for g in graphs) == 64
+        assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))
+
+    @pytest.mark.parametrize("name, hubs", [("config:ppe1", (3, 3, 3, 3)), ("hills:3", (4, 4))])
+    def test_other_cores_of_these_hub_degrees_take_the_block_pass(self, monkeypatch, name, hubs):
+        # ppe1's four hubs do not pair off by six chains, and hills:3's two
+        # hubs each close a loop; fresh copies, as the fixtures are shared
+        g = SimpleGraph(fixture_graph(name).vertices, fixture_graph(name).edges)
+        degree = g._core_degrees()
+        assert tuple(sorted(d for d in degree.values() if d > 2)) == hubs
+        assert _core_branch(g, degree) is None
+        named = []
+        rank_three_pattern = minors._rank_three_pattern
+
+        def noted(comp):
+            named.append(rank_three_pattern(comp))
+            return named[-1]
+
+        monkeypatch.setattr(minors, "_rank_three_pattern", noted)
+        verdict = decide_support(g)
+        assert named == [verdict.pattern]
+        assert verdict == decide_support_by_search(SimpleGraph(g.vertices, g.edges))
+
+    def test_atlas_and_acceptance_corpus(self):
+        assert assert_built_as_searched(atlas_graphs() + acceptance_corpus(), rank=3) > 150
+
+    def test_subdivisions(self):
+        rng = random.Random(20261106)
+        graphs = subdivided_books()
+        graphs += [random_subdivision(rng, sorted(pattern_graph(p).edges), rng.randint(6, 40))
+                   for p in (Pattern.K4, Pattern.BOOK) for _ in range(40)]
+        graphs += [hung_subdivision(rng, p, 64) for p in (Pattern.K4, Pattern.BOOK) for _ in range(5)]
+        assert assert_built_as_searched(graphs, rank=3) == len(graphs)
+
+    def test_benchmark_graphs(self):
+        families = ("subdivided-k4", "subdivided-book", "random-sparse")
+        graphs = [g for seed in (1, 2, 3) for g in perfbench_analyze_graphs(seed, families)]
+        assert assert_built_as_searched(graphs, rank=3) > 90
+
+    def test_random_sparse_hosts(self):
+        # a random tree on 6-25 vertices plus 3 chords: cycle rank 3
+        rng = random.Random(20261107)
+        graphs = [random_sparse_graph(rng, 6 + k % 20, 3) for k in range(300)]
+        assert assert_built_as_searched(graphs, rank=3) > 50
