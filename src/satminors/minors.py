@@ -18,26 +18,29 @@ twice the edges and a component has |E| - |V| = rank - 1.  Peeling a leaf
 keeps its component's rank and a tree vanishes, so those components are
 the graph's components of rank one or more.  X = 0 leaves forests and
 unicyclic graphs; X = 2 one component of rank two beside cycles, whose
-shape the peeled degrees and one walk of its hubs' chains give.  Only a
-larger X, or a qualifying rank-two core, goes on to build the components.
+shape the peeled degrees and one walk of its hubs' chains give, and X = 4
+one component of rank three, or two of rank two, beside cycles, which the
+same walk reads when the core subdivides K4 or the book.  Such a
+read-off within the cap is the verdict; only a larger X, any other core,
+or a graph above the cap goes on to build the components.
 
 The evidence is a checkable embedding.  K4 and the book have cycle rank 3,
 so a qualifying rank-two component holds neither, and its core names the
 one pattern it holds: a figure-eight the butterfly, a dumbbell the bowtie
 (its two cycles are disjoint, so no butterfly).  Its embedding is read off
-the core's two loops in linear time, and it is the one the generic
-subdivision-embedding search would return; no search runs.  The same walk
-of the core's chains reads a rank-three core that subdivides K4 (four hubs
-of degree 3, joined pairwise) or the book (two hubs of degree 4, joined by
-four chains), again with no search.  In every other component of rank
-three or more, one pass over the blocks names the first pattern that
-embeds, and the search runs once, for it.  A weighted
-series-parallel reduction per block decides K4, which embeds iff some
-block keeps more than two vertices (Duffin 1965), and the book, which
-embeds iff two vertices are joined by four internally disjoint paths,
-which the edge weights count.  Without either, the butterfly embeds iff a
-vertex lies in two cyclic blocks or has degree 4 or more inside one, and
-otherwise the bowtie is the pattern left.
+the core's two loops in linear time, paths and all, and it is the one the
+generic subdivision-embedding search would return; no search and no
+routing run.  The same walk of the core's chains reads a rank-three core
+that subdivides K4 (four hubs of degree 3, joined pairwise) or the book
+(two hubs of degree 4, joined by four chains), again with neither.  In
+every other component of rank three or more, one pass over the blocks
+names the first pattern that embeds, and the search runs once, for it.
+A weighted series-parallel reduction per block decides K4, which embeds
+iff some block keeps more than two vertices (Duffin 1965), and the book,
+which embeds iff two vertices are joined by four internally disjoint
+paths, which the edge weights count.  Without either, the butterfly
+embeds iff a vertex lies in two cyclic blocks or has degree 4 or more
+inside one, and otherwise the bowtie is the pattern left.
 
 A graph is decided at most once per cap: the verdict is cached on the
 graph instance, the same Verdict object is returned on every later call,
@@ -363,7 +366,9 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
     if set(emb.paths) != pg.edges:
         return False
     branch_images = set(bm.values())
-    adj = host.adjacency
+    # each step is a host edge, in either direction; the edge set is read
+    # as it is, so no sorted adjacency is built
+    edges = host.edges
     seen_internal: set[int] = set()
     for (u, v), path in emb.paths.items():
         if len(path) < 2 or path[0] != bm[u] or path[-1] != bm[v]:
@@ -371,7 +376,7 @@ def verify_embedding(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> boo
         if len(set(path)) != len(path):
             return False
         for a, b in zip(path, path[1:]):
-            if b not in adj.get(a, ()):
+            if (a, b) not in edges and (b, a) not in edges:
                 return False
         inner = set(path[1:-1])
         if inner & branch_images or inner & seen_internal:
@@ -472,21 +477,24 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Classify a graph by the sentences it can support.
 
     Decided from cycle rank and 2-core shape alone, by one leaf peel of g
-    or, when its excess is above 2 or a rank-two core qualifies, per
-    component; when the answer is positive, a concrete pattern embedding is
-    produced as evidence (first qualifying component, patterns in fixed
-    order).
+    and, when its excess is 2 or 4, one walk of its core's chains, or else
+    per component; when the answer is positive, a concrete pattern
+    embedding is produced as evidence (first qualifying component, patterns
+    in fixed order).
 
     The pattern is chosen by structure, not by search.  A qualifying
     component of cycle rank two holds neither K4 nor the book, which have
     rank three, and its core names its one pattern: one hub of degree 4 (a
     figure-eight) the butterfly, two hubs of degree 3 (a dumbbell) the
-    bowtie.  No test or search runs: the least branch map is read off the
-    core's two loops and its paths are routed once, which is the search's
-    last step (see _core_branch).  A component of rank three whose core
-    is a subdivision of K4 (four hubs of degree 3, joined pairwise by six
-    chains) or of the book (two hubs of degree 4, joined by four chains)
-    is read off its chains the same way.  On every other component of
+    bowtie.  No test, search or routing runs: the least branch map is read
+    off the core's two loops, and each path is the one arc of a loop
+    between its ends that the search's last step routes (see _core_branch).
+    A component of rank three whose core is a subdivision of K4 (four hubs
+    of degree 3, joined pairwise by six chains) or of the book (two hubs of
+    degree 4, joined by four chains) is read off its chains the same way.
+    When such a read-off is the whole graph's, one core beside cycles, and
+    the graph is within the cap, no component is built; otherwise the cap
+    is checked on the read-off's component.  On every other component of
     rank three or more, one pass over its blocks names the first pattern
     in PATTERN_ORDER that embeds, K4, the book, the butterfly or else the
     bowtie (see _rank_three_pattern), and the search runs once, for it.
@@ -516,29 +524,30 @@ def _decide(g: SimpleGraph, cap: int) -> Verdict:
     excess = sum(degree.values()) - 2 * (len(degree) - countOf(degree.values(), 0))
     if not excess:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
-    # with an excess of 2, the one rank-2 component's branch map is g's
-    core = _core_branch(g, degree) if excess == 2 else None
+    # an excess of 2 leaves one component of rank 2, and a read-off at 4 one
+    # of rank 3, beside cycles: its read-off is g's (see _core_branch)
+    core = _core_branch(g, degree) if excess <= 4 else None
+    if core is not None and len(g.vertices) <= cap:
+        return Verdict(True, pattern=core[0], embedding=Embedding(core[1], core[2]))
     if excess == 2 and core is None:
         return Verdict(False, reason=Reason.THETA_CORE)
     for comp in connected_components(g):
         # a component is connected, so its cycle rank is |E| - |V| + 1
         rank = len(comp.edges) - len(comp.vertices) + 1
-        if rank == 2 and excess > 2:
-            core = _core_branch(comp, degree)
-        if rank < 2 or rank == 2 and core is None:
+        if rank < 2:
             continue
+        # core is None here, or g's read-off, which is this component's
+        if core is None:
+            core = _core_branch(comp, degree)
+            if rank == 2 and core is None:
+                continue
         if len(comp.vertices) > cap:
             raise HostTooLarge(cap, len(comp.vertices))
-        if rank > 2:
-            core = _core_branch(comp, degree)
-        if core is None:
-            pattern = _rank_three_pattern(comp)
-            emb = find_topological_minor(comp, pattern, cap=cap)
-        else:
-            # the search's last level: route every pattern edge at once
-            pattern, branch = core
-            routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
-            emb = None if routed is None else Embedding(branch, routed)
+        if core is not None:
+            pattern, branch, paths = core
+            return Verdict(True, pattern=pattern, embedding=Embedding(branch, paths))
+        pattern = _rank_three_pattern(comp)
+        emb = find_topological_minor(comp, pattern, cap=cap)
         if emb is None:
             raise AssertionError(f"{pattern.name} was named but does not embed in {comp!r}")
         return Verdict(True, pattern=pattern, embedding=emb)
@@ -558,8 +567,8 @@ _CORE_SHAPES = {
 
 def _core_branch(
     comp: SimpleGraph, degree: dict[int, int]
-) -> tuple[Pattern, dict[int, int]] | None:
-    """The pattern the 2-core of comp holds and the branch map
+) -> tuple[Pattern, dict[int, int], dict[Edge, tuple[int, ...]]] | None:
+    """The pattern the 2-core of comp holds and the branch map and paths
     find_topological_minor(comp, pattern) returns, when the core is a
     figure-eight, a dumbbell, or a subdivision of K4 or of the book; None
     for any other core.
@@ -584,7 +593,9 @@ def _core_branch(
       vertices of degree 3.
     Every other core of rank 3 or more, among them those hub degrees with a
     loop or with two chains joining one pair of hubs, is left to
-    _rank_three_pattern.
+    _rank_three_pattern.  So are two rank-2 cores side by side, whose hub
+    degrees sum to the same excess: two figure-eights or two dumbbells
+    close loops, and two thetas join one pair of hubs by three chains.
 
     The search tries each placed vertex's candidates in ascending order,
     and its forward checks drop only maps that cannot route, so it returns
@@ -611,23 +622,41 @@ def _core_branch(
       least interior vertex, 3 to the least one off 1's chain, and 5 to the
       least one off both: the least interior vertices of the three chains
       whose least interior vertices are smallest, in that order.
-    Routing that map is the search's last level.
+
+    The search's last level routes every pattern edge with _route_paths,
+    whose paths avoid every branch image but their own two ends.  Every
+    hub is a branch image here, so such a path runs from its start along
+    one chain, which it cannot leave before a hub, to the next branch
+    image, its goal: it is an arc of the walked chains cut at the branch
+    images.  Those arcs join the images as the pattern edges join the
+    pattern's vertices, one arc per edge (a loop, with two images inside,
+    makes a triangle, a book's page chain, with one, two edges, and every
+    other chain one edge), so each edge's arc is the only path in the core
+    between its ends that avoids the other images.  A simple path between
+    core vertices never enters a tree hung on the core, so it is also the
+    only one in comp, and _route_paths places it whatever the order.  The
+    order decides only the keys' order: each step takes the first
+    remaining edge, in sorted order, whose ends have the fewest free
+    neighbours.  A branch image's free count starts at its degree in comp,
+    and a placed path with an interior vertex takes one from each end: an
+    interior vertex has core degree 2, so its only neighbours among the
+    branch images are the path's ends next to it.  The paths are placed
+    here in that order, with no search.
     """
     hubs = sorted(v for v in comp.vertices if degree[v] > 2)
     pattern = _CORE_SHAPES.get(tuple(degree[v] for v in hubs))
     if pattern is None:
         return None
     nbrs = comp._neighbours
-    # each chain's ends, lesser hub first, its interior, and the hub and
-    # the last step of every chain walked, which start it walked backwards
-    ends: list[tuple[int, int]] = []
-    interiors: list[list[int]] = []
+    # each chain from its lesser hub to its other end, and the hub and the
+    # last step of every chain walked, which start it walked backwards
+    chains: list[list[int]] = []
     walked: set[tuple[int, int]] = set()
     for hub in hubs:
         for first in nbrs[hub]:
             if not degree[first] or (hub, first) in walked:
                 continue
-            prev, v, chain = hub, first, []
+            prev, v, chain = hub, first, [hub]
             while degree[v] == 2:
                 chain.append(v)
                 for w in nbrs[v]:
@@ -635,18 +664,46 @@ def _core_branch(
                         break
                 prev, v = v, w
             walked.add((v, prev))
-            ends.append((hub, v))
-            interiors.append(chain)
-    # the two least vertices of each loop, the lesser hub's loops first
-    heads = [sorted(chain)[:2] for (a, b), chain in zip(ends, interiors) if a == b]
+            chain.append(v)
+            chains.append(chain)
+    # the two least interior vertices of each loop, the lesser hub's first
+    heads = [sorted(chain[1:-1])[:2] for chain in chains if chain[0] == chain[-1]]
     if pattern is Pattern.BUTTERFLY:
         # the loop that holds the least non-hub vertex first
         heads.sort()
     elif pattern is Pattern.BOWTIE:
         if not heads:
             return None
-    elif heads or pattern is Pattern.K4 and len(set(ends)) < len(ends):
+    elif heads or pattern is Pattern.K4 and len({(c[0], c[-1]) for c in chains}) < len(chains):
         return None
     elif pattern is Pattern.BOOK:
-        heads = [sorted(min(chain) for chain in interiors if chain)[:3]]
-    return pattern, dict(zip(_plan(pattern)[0], [*hubs, *(v for head in heads for v in head)]))
+        heads = [sorted(min(chain[1:-1]) for chain in chains if len(chain) > 2)[:3]]
+    branch = dict(zip(_plan(pattern)[0], [*hubs, *(v for head in heads for v in head)]))
+    # each chain cut at the branch images: one arc per pattern edge
+    image = {b: p for p, b in branch.items()}
+    arcs: dict[Edge, tuple[int, ...]] = {}
+    for chain in chains:
+        cut = 0
+        for i in range(1, len(chain)):
+            if chain[i] in image:
+                u, v, arc = image[chain[cut]], image[chain[i]], tuple(chain[cut:i + 1])
+                arcs[(u, v) if u < v else (v, u)] = arc if u < v else arc[::-1]
+                cut = i
+    # the free neighbours of each pattern vertex's image, as _route_paths
+    # counts them, and the arcs in the order it places them
+    free = {p: len(nbrs[b]) for p, b in branch.items()}
+    left = list(_plan(pattern)[2][-1])
+    paths: dict[Edge, tuple[int, ...]] = {}
+    while left:
+        e, least = left[0], len(nbrs)
+        for x in left:
+            a, b = free[x[0]], free[x[1]]
+            a = a if a < b else b
+            if a < least:
+                e, least = x, a
+        left.remove(e)
+        paths[e] = arcs[e]
+        if len(arcs[e]) > 2:
+            free[e[0]] -= 1
+            free[e[1]] -= 1
+    return pattern, branch, paths

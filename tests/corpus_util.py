@@ -50,6 +50,7 @@ from satminors.minors import (
     Pattern,
     Reason,
     Verdict,
+    _pattern,
     _plan,
     _route_paths,
     _simple_paths,
@@ -689,6 +690,37 @@ def decide_support_by_search(g: SimpleGraph, cap: int = 64) -> Verdict:
     if any(r == 1 for r in ranks):
         return Verdict(False, reason=Reason.UNICYCLIC)
     return Verdict(False, reason=Reason.FOREST)
+
+
+def verify_embedding_by_adjacency(host: SimpleGraph, pattern: Pattern, emb: Embedding) -> bool:
+    """Reference embedding check: minors.verify_embedding as it was when it
+    read each step from the host's sorted adjacency."""
+    pg = _pattern(pattern)
+    bm = dict(emb.branch_map)
+    if set(bm) != pg.vertices:
+        return False
+    if len(set(bm.values())) != len(bm):
+        return False
+    if not set(bm.values()) <= host.vertices:
+        return False
+    if set(emb.paths) != pg.edges:
+        return False
+    branch_images = set(bm.values())
+    adj = host.adjacency
+    seen_internal: set[int] = set()
+    for (u, v), path in emb.paths.items():
+        if len(path) < 2 or path[0] != bm[u] or path[-1] != bm[v]:
+            return False
+        if len(set(path)) != len(path):
+            return False
+        for a, b in zip(path, path[1:]):
+            if b not in adj.get(a, ()):
+                return False
+        inner = set(path[1:-1])
+        if inner & branch_images or inner & seen_internal:
+            return False
+        seen_internal.update(inner)
+    return True
 
 
 def decide_support_by_components(g: SimpleGraph, cap: int = 64) -> Verdict:

@@ -506,13 +506,24 @@ class TestInternalChecks:
         path = write(tmp_path, "prism.graph", "1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n1 4\n2 5\n3 6\n")
         self.assert_internal_error(*run(capsys, "analyze", path))
 
-    # a figure-eight and K4, whose embeddings are read off the core and routed once
-    @pytest.mark.parametrize("text", ["1 2\n1 3\n2 3\n1 4\n1 5\n4 5\n", K4_TEXT],
-                             ids=["figure-eight", "k4"])
-    def test_core_map_that_does_not_route(self, capsys, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(minors, "_route_paths", lambda host, edges, branch: None)
+    # a figure-eight of two 5-cycles and K4 with one edge subdivided twice,
+    # whose embeddings are read off the core's chains, paths and all
+    @pytest.mark.parametrize("text", [
+        "1 2\n2 3\n3 4\n4 5\n1 5\n1 6\n6 7\n7 8\n8 9\n1 9\n",
+        "1 2\n1 3\n1 5\n2 3\n2 4\n3 4\n4 6\n5 6\n",
+    ], ids=["figure-eight", "k4"])
+    def test_read_off_path_that_skips_a_vertex(self, capsys, tmp_path, monkeypatch, text):
+        # the witness's support check finds the step that is no edge
+        core_branch = minors._core_branch
+
+        def damaged(comp, degree):
+            pattern, branch, paths = core_branch(comp, degree)
+            e = next(e for e, p in paths.items() if len(p) > 2)
+            return pattern, branch, {**paths, e: paths[e][:1] + paths[e][2:]}
+
+        monkeypatch.setattr(minors, "_core_branch", damaged)
         path = write(tmp_path, "core.graph", text)
-        self.assert_internal_error(*run(capsys, "analyze", path))
+        self.assert_internal_error(*run(capsys, "analyze", path, "--witness", "-"))
 
     def test_census_example_the_solver_calls_satisfiable(self, capsys, tmp_path, monkeypatch):
         # the package attribute satminors.census is the function, not the module

@@ -24,6 +24,7 @@ from corpus_util import (
     sparse_graph_stream,
     strip,
     two_core_by_networkx,
+    verify_embedding_by_adjacency,
 )
 from satminors import (
     Embedding,
@@ -49,7 +50,9 @@ from satminors.minors import (
     PATTERN_ORDER,
     HostTooLarge,
     _core_branch,
+    _plan,
     _rank_three_pattern,
+    _route_paths,
 )
 
 
@@ -554,16 +557,17 @@ class TestStructuralExistence:
 
     def test_linear_on_strips(self):
         # a strip is one outerplanar block, all but four of its vertices of
-        # degree 4: no K4 and no book, and about n * n / 2 pairs of hubs
-        seconds = []
-        for g in (strip(2000), strip(4000)):
-            assert _rank_three_pattern(g) is Pattern.BUTTERFLY
-            runs = []
-            for _ in range(3):
+        # degree 4: no K4 and no book, and about n * n / 2 pairs of hubs.
+        # The two sizes take turns, so a burst of load slows both alike, and
+        # the least of seven runs of each is compared
+        graphs = (strip(2000), strip(4000))
+        assert all(_rank_three_pattern(g) is Pattern.BUTTERFLY for g in graphs)
+        seconds = [float("inf")] * len(graphs)
+        for _ in range(7):
+            for i, g in enumerate(graphs):
                 start = time.perf_counter()
                 _rank_three_pattern(g)
-                runs.append(time.perf_counter() - start)
-            seconds.append(min(runs))
+                seconds[i] = min(seconds[i], time.perf_counter() - start)
         assert seconds[1] < 3 * seconds[0]
 
 
@@ -700,23 +704,28 @@ class TestVerdictCache:
         assert decide_support(negative) is decide_support(negative)
 
     def test_caps_cached_apart(self, monkeypatch):
-        # a subdivided book runs no search: its core's one routing marks each decision
+        # a subdivided book runs no search and routes nothing: its core's one
+        # read-off marks each decision
         g = subdivided_books()[0]
         searches = self.count_searches(monkeypatch)
-        routings = []
-        route_paths = minors._route_paths
+        readings = []
+        core_branch = minors._core_branch
 
         def counted(*args):
-            routings.append(args[2])
-            return route_paths(*args)
+            readings.append(core_branch(*args))
+            return readings[-1]
 
-        monkeypatch.setattr(minors, "_route_paths", counted)
+        def refuse(*args):
+            raise AssertionError("a read-off was routed")
+
+        monkeypatch.setattr(minors, "_core_branch", counted)
+        monkeypatch.setattr(minors, "_route_paths", refuse)
         at_64 = decide_support(g)
         at_100 = decide_support(g, cap=100)
-        assert searches == [] and len(routings) == 2 and routings[0] == routings[1]
+        assert searches == [] and len(readings) == 2 and readings[0] == readings[1]
         assert at_64 == at_100 and at_64 is not at_100 and at_64.pattern is Pattern.BOOK
         assert decide_support(g, cap=64) is at_64 and decide_support(g, cap=100) is at_100
-        assert len(routings) == 2
+        assert len(readings) == 2
 
     def test_refusal_not_cached(self):
         g = fixture_graph("hills:3")  # one qualifying component of 7 vertices
@@ -915,15 +924,15 @@ class TestPeelFirstVerdict:
 
 
 class TestRankTwoGate:
-    """A qualifying rank-2 component runs no structure test and no search.
+    """A qualifying rank-2 component runs no structure test, no search and
+    no routing.
 
-    Its embedding is built from the core's two loops and routed by one
-    _route_paths call, the search's last level.
+    Its embedding, paths and all, is read off the core's two loops.
     """
 
     @staticmethod
     def _refuse(*args, **kwargs):
-        raise AssertionError("a rank-2 component ran a test or search")
+        raise AssertionError("a rank-2 component ran a test, search or routing")
 
     def test_figure_eights_and_dumbbells_skip_the_tests(self, monkeypatch):
         rng = random.Random(20261103)
@@ -939,20 +948,11 @@ class TestRankTwoGate:
         # the decider that tried every pattern in turn, on copies
         expected = [decide_support_by_components(SimpleGraph.of(sorted(g.edges))) for g in graphs]
 
-        route_paths = minors._route_paths
-        routings = []
-
-        def counted(host, edges, branch):
-            routings.append(len(edges))
-            return route_paths(host, edges, branch)
-
         monkeypatch.setattr(minors, "_rank_three_pattern", self._refuse)
         monkeypatch.setattr(minors, "find_topological_minor", self._refuse)
-        monkeypatch.setattr(minors, "_route_paths", counted)
+        monkeypatch.setattr(minors, "_route_paths", self._refuse)
         got = [decide_support(g) for g in graphs]
         assert got == expected
-        # one routing of every pattern edge per verdict
-        assert routings == [len(pattern_graph(v.pattern).edges) for v in got]
         assert [v.pattern for v in got[:18]] == [p for p in shapes.values() for _ in range(9)]
         assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))
 
@@ -1030,16 +1030,15 @@ def hung_subdivision(rng: random.Random, pattern: Pattern, n: int) -> SimpleGrap
 
 
 class TestRankThreeGate:
-    """A rank-3 core that subdivides K4 or the book runs no block pass and
-    no search.
+    """A rank-3 core that subdivides K4 or the book runs no block pass, no
+    search and no routing.
 
-    Its embedding is read off the core's chains and routed by one
-    _route_paths call, the search's last level.
+    Its embedding, paths and all, is read off the core's chains.
     """
 
     @staticmethod
     def _refuse(*args, **kwargs):
-        raise AssertionError("a K4 or book subdivision ran the block pass or a search")
+        raise AssertionError("a K4 or book subdivision ran the block pass, a search or a routing")
 
     def test_subdivisions_with_trees_skip_the_tests(self, monkeypatch):
         rng = random.Random(20261105)
@@ -1049,20 +1048,11 @@ class TestRankThreeGate:
         # the decider that tried every pattern in turn, on copies
         expected = [decide_support_by_components(SimpleGraph.of(sorted(g.edges))) for g in graphs]
 
-        route_paths = minors._route_paths
-        routings = []
-
-        def counted(host, edges, branch):
-            routings.append(len(edges))
-            return route_paths(host, edges, branch)
-
         monkeypatch.setattr(minors, "_rank_three_pattern", self._refuse)
         monkeypatch.setattr(minors, "find_topological_minor", self._refuse)
-        monkeypatch.setattr(minors, "_route_paths", counted)
+        monkeypatch.setattr(minors, "_route_paths", self._refuse)
         got = [decide_support(g) for g in graphs]
         assert got == expected
-        # one routing of every pattern edge per verdict
-        assert routings == [len(pattern_graph(v.pattern).edges) for v in got]
         assert [v.pattern for v in got[:30]] == [p for p in (Pattern.K4, Pattern.BOOK) for _ in range(15)]
         assert max(len(g.vertices) for g in graphs) == 64
         assert all(verify_embedding(g, v.pattern, v.embedding) for g, v in zip(graphs, got))
@@ -1108,3 +1098,158 @@ class TestRankThreeGate:
         rng = random.Random(20261107)
         graphs = [random_sparse_graph(rng, 6 + k % 20, 3) for k in range(300)]
         assert assert_built_as_searched(graphs, rank=3) > 50
+
+
+def assert_paths_as_routed(graphs) -> int:
+    """Every read-off's paths against _route_paths on its branch map, the
+    search's last level: value and key order.  A read-off of a whole graph
+    is its one qualifying component's.
+
+    Returns the number of components compared.
+    """
+    compared = 0
+    for g in graphs:
+        found = []
+        for comp in connected_components(g):
+            core = _core_branch(comp, comp._core_degrees())
+            if core is None:
+                continue
+            pattern, branch, paths = core
+            routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
+            assert paths == routed and list(paths) == list(routed), comp
+            found.append(core)
+        whole = _core_branch(g, g._core_degrees())
+        if whole is not None:
+            assert found == [whole] and list(found[0][2]) == list(whole[2]), g
+        compared += len(found)
+    return compared
+
+
+def beside(g: SimpleGraph, edges) -> SimpleGraph:
+    """g beside the given edges, their ids shifted past g's."""
+    top = max(g.vertices)
+    return SimpleGraph.of(sorted(g.edges) + [(top + u, top + v) for u, v in edges])
+
+
+def path_edges(n: int) -> list[tuple[int, int]]:
+    """The edges of the path 1..n."""
+    return [(i, i + 1) for i in range(1, n)]
+
+
+class TestReadOffPaths:
+    """The paths read off a core's chains are the ones _route_paths places,
+    and deciding, checking and lifting a read-off host builds neither a
+    sorted adjacency nor a component labelling."""
+
+    def test_atlas_and_acceptance_corpus(self):
+        assert assert_paths_as_routed(atlas_graphs() + acceptance_corpus()) > 200
+
+    def test_random_subdivisions(self):
+        rng = random.Random(20261108)
+        graphs = [random_subdivision(rng, sorted(pattern_graph(p).edges), rng.randint(6, 40))
+                  for p in PATTERN_ORDER for _ in range(30)]
+        assert assert_paths_as_routed(graphs) == len(graphs)
+
+    def test_hung_subdivisions(self):
+        rng = random.Random(20261109)
+        graphs = [hung_subdivision(rng, p, 64) for p in PATTERN_ORDER for _ in range(10)]
+        assert assert_paths_as_routed(graphs) == len(graphs)
+
+    def test_benchmark_graphs(self):
+        families = ("random-sparse", "subdivided-k4", "subdivided-book", "figure-eight")
+        graphs = [g for seed in (1, 2, 3) for g in perfbench_analyze_graphs(seed, families)]
+        assert assert_paths_as_routed(graphs) > 150
+
+    def test_no_sorted_adjacency_and_no_components(self):
+        rng = random.Random(20261110)
+        graphs = [hung_subdivision(rng, p, n) for p in PATTERN_ORDER for n in (12, 40, 64)]
+        graphs += [rank_two_graph(rng, shape, 30) for shape in ("figure-eight", "dumbbell")]
+        # beside cycles and trees, so the read-off is the whole graph's
+        graphs += [beside(g, [(1, 2), (2, 3), (1, 3), (4, 5)]) for g in graphs[::3]]
+        for g in graphs:
+            assert core_pattern(g) is not None and len(g.vertices) <= 64
+            verdict = decide_support(g)
+            assert verify_embedding(g, verdict.pattern, verdict.embedding)
+            assert synthesize_witness(g) is not None
+            assert "adjacency" not in g.__dict__ and "_component_of" not in g.__dict__, g
+
+
+class TestCapBesideTheReadOff:
+    """A read-off graph above the cap takes the component loop, which checks
+    the cap on the qualifying component alone."""
+
+    def test_k4_beside_a_long_path(self):
+        rng = random.Random(20261111)
+        g = beside(random_subdivision(rng, sorted(pattern_graph(Pattern.K4).edges), 20), path_edges(80))
+        assert len(g.vertices) == 100 and core_pattern(g) is Pattern.K4
+        verdict = decide_support(g, cap=64)
+        assert verdict == decide_support_by_components(SimpleGraph.of(sorted(g.edges)), cap=64)
+        assert verdict.pattern is Pattern.K4
+
+    def test_components_above_the_cap_refused(self):
+        rng = random.Random(20261112)
+        eight = rank_two_graph(rng, "figure-eight", 100)
+        k4 = hung_subdivision(rng, Pattern.K4, 100)
+        for g in (eight, k4, beside(eight, path_edges(30)), beside(k4, path_edges(30))):
+            assert core_pattern(g) is not None
+            for decide in (decide_support, decide_support_by_components):
+                with pytest.raises(HostTooLarge, match="host has 100 vertices, search cap is 64"):
+                    decide(SimpleGraph.of(sorted(g.edges)))
+
+
+def damaged_embeddings(rng: random.Random, host: SimpleGraph, emb: Embedding):
+    """Copies of emb, each damaged one way at random: ids that are 0,
+    negative or no host vertex, repeated vertices, wrong ends, steps that
+    are not edges, shared interiors and missing or extra pattern edges."""
+    outside = max(host.vertices) + 1
+    for _ in range(40):
+        branch, paths = dict(emb.branch_map), {e: list(p) for e, p in emb.paths.items()}
+        e = rng.choice(sorted(paths))
+        path = paths[e]
+        kind = rng.randrange(10)
+        if kind == 0:
+            path[rng.randrange(len(path))] = rng.choice((0, -1, -path[0], outside))
+        elif kind == 1:
+            v = rng.choice(sorted(branch))
+            branch[v] = rng.choice((0, -2, outside, branch[rng.choice(sorted(branch))]))
+        elif kind == 2:
+            path.insert(rng.randrange(len(path) + 1), rng.choice(path))
+        elif kind == 3:
+            path.reverse()
+        elif kind == 4 and len(path) > 2:
+            del path[rng.randrange(1, len(path) - 1)]
+        elif kind == 5:
+            path[rng.randrange(len(path))] = rng.choice(sorted(host.vertices))
+        elif kind == 6:
+            inner = [x for p in paths.values() for x in p[1:-1]]
+            if inner:
+                path.insert(rng.randrange(1, len(path)), rng.choice(inner))
+        elif kind == 7:
+            del paths[e]
+        elif kind == 8:
+            paths[(e[0], e[1] + 10)] = path
+        elif kind == 9:
+            paths[e] = path[: rng.randrange(len(path) + 1)]
+        yield Embedding(branch, paths)
+
+
+class TestVerifyByEdgeSet:
+    """verify_embedding reads each step from the host's edge set; it answers
+    as the check that read the sorted adjacency did."""
+
+    def test_damaged_embeddings(self):
+        rng = random.Random(20261113)
+        hosts = [hung_subdivision(rng, p, n) for p in PATTERN_ORDER for n in (8, 24, 40)]
+        # fresh copies: some fixtures are shared objects, and the reference
+        # keeps an adjacency on its host
+        hosts += [SimpleGraph.of(sorted(fixture_graph(name).edges))
+                  for name in ("k4", "book", "butterfly", "bowtie", "hills:4")]
+        answers = []
+        for host in hosts:
+            verdict = decide_support(host)
+            for emb in [verdict.embedding, *damaged_embeddings(rng, host, verdict.embedding)]:
+                for pattern in PATTERN_ORDER:
+                    got = verify_embedding(host, pattern, emb)
+                    assert got is verify_embedding_by_adjacency(host, pattern, emb), (host, emb)
+                    answers.append(got)
+        assert answers.count(True) > len(hosts) and answers.count(False) > 1000
