@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .census import TooManyEdges, census
 from .formula import Cnf2, FormulaError, ParseError, _strict_int, cnf_to_dimacs, parse_dimacs
-from .sat import solve
+from .sat import check_model, solve
 
 # Each handler imports the layers it runs, so a process compiles only those.
 if TYPE_CHECKING:
@@ -162,9 +162,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    result = solve(parse_dimacs(_read_input(args.input)))
+    s = parse_dimacs(_read_input(args.input))
+    result = solve(s)
     if result.satisfiable:
-        _check(result.model is not None, "a satisfiable result carries no model")
+        _check(result.model is not None and check_model(s, result.model),
+               "a satisfiable result carries no model that satisfies the sentence")
         print("SAT")
         lits = [v if result.model[v] else -v for v in sorted(result.model)]
         print("v " + " ".join(str(l) for l in lits + [0]))
@@ -177,7 +179,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .graph import support_graph, to_dot
-    from .minors import decide_support
+    from .minors import decide_support, verify_embedding
     from .witness import synthesize_witness, witness_to_dimacs
 
     parsed = _sniff_graph_or_cnf(_read_input(args.input))
@@ -204,6 +206,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if verdict.supports_unsat:
         _check(verdict.pattern is not None and verdict.embedding is not None,
                "a positive verdict carries no embedding")
+        _check(verify_embedding(graph, verdict.pattern, verdict.embedding),
+               "the verdict's embedding fails verification")
         report["verdict"] = "supports-unsat"
         report["pattern"] = verdict.pattern.value
         report["embedding"] = _embedding_json(verdict.embedding)
@@ -254,8 +258,8 @@ def _emit_analyze(args, report, witness_text) -> None:
 
 def _embedding_json(emb: Embedding) -> dict:
     return {
-        "branch_map": {str(k): v for k, v in sorted(emb.branch_map.items())},
-        "paths": {f"{u}-{v}": list(p) for (u, v), p in sorted(emb.paths.items())},
+        "branch_map": {str(k): v for k, v in emb.branch_map.items()},
+        "paths": {f"{u}-{v}": list(p) for (u, v), p in emb.paths.items()},
     }
 
 
@@ -275,13 +279,32 @@ def _graph_hash(g: SimpleGraph) -> str:
     return hashlib.sha256(edgelist_to_text(g).encode()).hexdigest()[:16]
 
 
+def _decimal(*counts: int) -> list[str]:
+    """The decimal text of each count, however many digits it has.
+
+    Recent Pythons refuse by default to convert an int of more than 4300
+    digits to text, and a census of E edges counts 4**E sentences, 4301
+    digits at E = 7143; the limit is lifted for these conversions only.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return [str(count) for count in counts]
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return [str(count) for count in counts]
+    finally:
+        set_limit(old)
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
     report = census(graph, cap=args.cap)
+    total, sat, unsat = _decimal(report.total, report.sat_count, report.unsat_count)
     if args.record:
-        print(f"{_graph_hash(graph)} {report.total} {report.sat_count} {report.unsat_count}")
+        print(f"{_graph_hash(graph)} {total} {sat} {unsat}")
     else:
-        print(f"{report.total} total, {report.sat_count} sat, {report.unsat_count} unsat")
+        print(f"{total} total, {sat} sat, {unsat} unsat")
         if report.example_unsat is not None:
             sys.stdout.write(cnf_to_dimacs(report.example_unsat, comments=["first unsat example"]))
     return EXIT_OK
@@ -296,6 +319,8 @@ def _cmd_minor(args: argparse.Namespace) -> int:
     pattern = Pattern[_PATTERN_ALIASES[key]]
     host = _read_graph(args.input)
     emb = find_topological_minor(host, pattern, cap=args.cap)
+    _check(emb is None or verify_embedding(host, pattern, emb),
+           "the embedding found fails verification")
     if args.json:
         import json
 
@@ -308,7 +333,6 @@ def _cmd_minor(args: argparse.Namespace) -> int:
     if emb is None:
         print("NOT-FOUND")
         return EXIT_OK
-    _check(verify_embedding(host, pattern, emb), "the embedding found fails verification")
     print(f"FOUND {pattern.value}")
     _print_embedding(_embedding_json(emb))
     return EXIT_OK

@@ -139,15 +139,16 @@ class Embedding(_Value):
     branch_map sends pattern vertices to distinct host vertices; paths sends
     each pattern edge (u, v), u < v, to a host path from branch_map[u] to
     branch_map[v].  Paths are internally disjoint from each other and from
-    every branch image.  Both are read-only copies, each path a tuple.
+    every branch image.  Both are read-only copies with their keys in
+    sorted order, so equal embeddings have equal reprs; each path is a tuple.
     """
 
     _fields = ("branch_map", "paths")
 
     def __init__(self, branch_map: Mapping[int, int],
                  paths: Mapping[Edge, tuple[int, ...]]) -> None:
-        object.__setattr__(self, "branch_map", _FrozenDict(branch_map))
-        object.__setattr__(self, "paths", _FrozenDict({e: tuple(p) for e, p in paths.items()}))
+        object.__setattr__(self, "branch_map", _FrozenDict(sorted(branch_map.items())))
+        object.__setattr__(self, "paths", _FrozenDict({e: tuple(paths[e]) for e in sorted(paths)}))
 
     def used_edges(self) -> set[Edge]:
         out: set[Edge] = set()
@@ -634,14 +635,7 @@ def _core_branch(
     other chain one edge), so each edge's arc is the only path in the core
     between its ends that avoids the other images.  A simple path between
     core vertices never enters a tree hung on the core, so it is also the
-    only one in comp, and _route_paths places it whatever the order.  The
-    order decides only the keys' order: each step takes the first
-    remaining edge, in sorted order, whose ends have the fewest free
-    neighbours.  A branch image's free count starts at its degree in comp,
-    and a placed path with an interior vertex takes one from each end: an
-    interior vertex has core degree 2, so its only neighbours among the
-    branch images are the path's ends next to it.  The paths are placed
-    here in that order, with no search.
+    only one in comp, and _route_paths places it whatever the order.
     """
     hubs = sorted(v for v in comp.vertices if degree[v] > 2)
     pattern = _CORE_SHAPES.get(tuple(degree[v] for v in hubs))
@@ -689,21 +683,4 @@ def _core_branch(
                 u, v, arc = image[chain[cut]], image[chain[i]], tuple(chain[cut:i + 1])
                 arcs[(u, v) if u < v else (v, u)] = arc if u < v else arc[::-1]
                 cut = i
-    # the free neighbours of each pattern vertex's image, as _route_paths
-    # counts them, and the arcs in the order it places them
-    free = {p: len(nbrs[b]) for p, b in branch.items()}
-    left = list(_plan(pattern)[2][-1])
-    paths: dict[Edge, tuple[int, ...]] = {}
-    while left:
-        e, least = left[0], len(nbrs)
-        for x in left:
-            a, b = free[x[0]], free[x[1]]
-            a = a if a < b else b
-            if a < least:
-                e, least = x, a
-        left.remove(e)
-        paths[e] = arcs[e]
-        if len(arcs[e]) > 2:
-            free[e[0]] -= 1
-            free[e[1]] -= 1
-    return pattern, branch, paths
+    return pattern, branch, arcs

@@ -338,6 +338,32 @@ class TestCensusCommand:
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout == run(capsys, *argv)[1]
 
+    @pytest.mark.parametrize("record", [False, True], ids=["text", "record"])
+    def test_counts_past_the_int_to_text_digit_limit(self, tmp_path, record):
+        # a path of 7143 edges supports 4**7143 sentences, 4301 digits, one
+        # past Python's default limit on converting an int to text; a path
+        # is a forest, so the census takes no DP and only printing counts
+        edges = 7143
+        path = write(tmp_path, "path.graph",
+                     edgelist_to_text(SimpleGraph.of([(i, i + 1) for i in range(1, edges + 1)])))
+        argv = ["census", "--cap", "100000", path] + ["--record"] * record
+        proc = run_limited(argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is not None:
+            old = sys.get_int_max_str_digits()
+            set_limit(0)
+        try:
+            count = str(4 ** edges)
+        finally:
+            if set_limit is not None:
+                set_limit(old)
+        assert len(count) == 4301
+        if record:
+            assert proc.stdout.split()[1:] == [count, count, "0"]
+        else:
+            assert proc.stdout == f"{count} total, {count} sat, 0 unsat\n"
+
 
 class TestVertexCountLimit:
     """An `n <count>` line above MAX_VERTEX_COUNT is refused before any vertex is built."""
@@ -508,22 +534,44 @@ class TestInternalChecks:
 
     # a figure-eight of two 5-cycles and K4 with one edge subdivided twice,
     # whose embeddings are read off the core's chains, paths and all
-    @pytest.mark.parametrize("text", [
-        "1 2\n2 3\n3 4\n4 5\n1 5\n1 6\n6 7\n7 8\n8 9\n1 9\n",
-        "1 2\n1 3\n1 5\n2 3\n2 4\n3 4\n4 6\n5 6\n",
-    ], ids=["figure-eight", "k4"])
-    def test_read_off_path_that_skips_a_vertex(self, capsys, tmp_path, monkeypatch, text):
-        # the witness's support check finds the step that is no edge
-        core_branch = minors._core_branch
+    FIGURE_EIGHT = "1 2\n2 3\n3 4\n4 5\n1 5\n1 6\n6 7\n7 8\n8 9\n1 9\n"
+    SUBDIVIDED_K4 = "1 2\n1 3\n1 5\n2 3\n2 4\n3 4\n4 6\n5 6\n"
 
-        def damaged(comp, degree):
-            pattern, branch, paths = core_branch(comp, degree)
+    @pytest.mark.parametrize("text, argv", [
+        (FIGURE_EIGHT, ["analyze", "FILE", "--witness", "-"]),
+        (SUBDIVIDED_K4, ["analyze", "FILE", "--witness", "-"]),
+        (FIGURE_EIGHT, ["analyze", "FILE"]),
+        (SUBDIVIDED_K4, ["analyze", "FILE", "--json"]),
+        (SUBDIVIDED_K4, ["minor", "k4", "FILE", "--json"]),
+    ], ids=["figure-eight", "k4", "analyze-figure-eight", "analyze-json-k4", "minor-json-k4"])
+    def test_read_off_path_that_skips_a_vertex(self, capsys, tmp_path, monkeypatch, text, argv):
+        # every print path verifies the embedding first and finds the step
+        # that is no edge
+        def skip_a_vertex(paths):
             e = next(e for e, p in paths.items() if len(p) > 2)
-            return pattern, branch, {**paths, e: paths[e][:1] + paths[e][2:]}
+            return {**paths, e: paths[e][:1] + paths[e][2:]}
 
-        monkeypatch.setattr(minors, "_core_branch", damaged)
+        core_branch, search = minors._core_branch, minors.find_topological_minor
+
+        def damaged_read_off(comp, degree):
+            pattern, branch, paths = core_branch(comp, degree)
+            return pattern, branch, skip_a_vertex(paths)
+
+        def damaged_search(host, pattern, cap=64):
+            emb = search(host, pattern, cap)
+            return minors.Embedding(emb.branch_map, skip_a_vertex(emb.paths))
+
+        monkeypatch.setattr(minors, "_core_branch", damaged_read_off)
+        monkeypatch.setattr(minors, "find_topological_minor", damaged_search)
         path = write(tmp_path, "core.graph", text)
-        self.assert_internal_error(*run(capsys, "analyze", path, "--witness", "-"))
+        self.assert_internal_error(*run(capsys, *(path if arg == "FILE" else arg for arg in argv)))
+
+    def test_solver_model_that_fails_the_sentence(self, capsys, tmp_path, monkeypatch):
+        # (1 or 2) and (-1 or 2) holds only with 2 true
+        wrong = mock.Mock(satisfiable=True, model={1: True, 2: False})
+        monkeypatch.setattr(sys.modules["satminors.cli"], "solve", lambda s: wrong)
+        path = write(tmp_path, "s.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
+        self.assert_internal_error(*run(capsys, "solve", path))
 
     def test_census_example_the_solver_calls_satisfiable(self, capsys, tmp_path, monkeypatch):
         # the package attribute satminors.census is the function, not the module

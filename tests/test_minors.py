@@ -1102,8 +1102,8 @@ class TestRankThreeGate:
 
 def assert_paths_as_routed(graphs) -> int:
     """Every read-off's paths against _route_paths on its branch map, the
-    search's last level: value and key order.  A read-off of a whole graph
-    is its one qualifying component's.
+    search's last level, by value.  A read-off of a whole graph is its one
+    qualifying component's.
 
     Returns the number of components compared.
     """
@@ -1116,11 +1116,11 @@ def assert_paths_as_routed(graphs) -> int:
                 continue
             pattern, branch, paths = core
             routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
-            assert paths == routed and list(paths) == list(routed), comp
+            assert paths == routed, comp
             found.append(core)
         whole = _core_branch(g, g._core_degrees())
         if whole is not None:
-            assert found == [whole] and list(found[0][2]) == list(whole[2]), g
+            assert found == [whole], g
         compared += len(found)
     return compared
 
@@ -1137,9 +1137,9 @@ def path_edges(n: int) -> list[tuple[int, int]]:
 
 
 class TestReadOffPaths:
-    """The paths read off a core's chains are the ones _route_paths places,
-    and deciding, checking and lifting a read-off host builds neither a
-    sorted adjacency nor a component labelling."""
+    """The paths read off a core's chains equal, by value, the ones
+    _route_paths places, and deciding, checking and lifting a read-off host
+    builds neither a sorted adjacency nor a component labelling."""
 
     def test_atlas_and_acceptance_corpus(self):
         assert assert_paths_as_routed(atlas_graphs() + acceptance_corpus()) > 200

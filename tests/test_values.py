@@ -3,8 +3,9 @@
 Values are immutable and compare by their fields: equal fields give equal
 values with equal hashes, a value of another class is never equal, and
 assigning or deleting an attribute raises AttributeError.  They print as
-they always have, survive copy.deepcopy and pickle, and their constructors
-reject what they always rejected.
+they always have, except that an embedding's maps print in sorted key order,
+so equal embeddings print alike.  They survive copy.deepcopy and pickle, and
+their constructors reject what they always rejected.
 """
 
 import copy
@@ -67,6 +68,11 @@ CASES = [
     (BaseFormula, ("pattern", "cnf"), ((Pattern.K4, Cnf2.from_ints([[1, 2]])), {}),
      "BaseFormula(pattern=<Pattern.K4: 'k4'>, cnf=Cnf2(1 2))",
      ((Pattern.BOOK, Cnf2.from_ints([[1, 2]])), {})),
+    # keys given out of order come back sorted, so equal embeddings print alike
+    (Embedding, ("branch_map", "paths"),
+     (({2: 5, 1: 4}, {(2, 3): (5, 6), (1, 2): (4, 5)}), {}),
+     "Embedding(branch_map={1: 4, 2: 5}, paths={(1, 2): (4, 5), (2, 3): (5, 6)})",
+     (({2: 5, 1: 4}, {(2, 3): (5, 7), (1, 2): (4, 5)}), {})),
 ]
 IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]
 
