@@ -12,17 +12,15 @@ only satisfiable sentences.
 The verdict starts from one leaf peel of the whole graph
 (SimpleGraph._core_degrees, kept on the graph, so the census and the
 pattern search on the same graph read it without peeling again), which
-leaves its 2-core's degrees.  Their excess X = sum(deg - 2) over the core is
-2 * sum(rank - 1) over the core's components, because the degrees sum to
-twice the edges and a component has |E| - |V| = rank - 1.  Peeling a leaf
-keeps its component's rank and a tree vanishes, so those components are
-the graph's components of rank one or more.  X = 0 leaves forests and
-unicyclic graphs; X = 2 one component of rank two beside cycles, whose
-shape the peeled degrees and one walk of its hubs' chains give, and X = 4
-one component of rank three, or two of rank two, beside cycles, which the
-same walk reads when the core subdivides K4 or the book.  Such a
-read-off within the cap is the verdict; only a larger X, any other core,
-or a graph above the cap goes on to build the components.
+leaves its 2-core's degrees.  A core with no hub, no vertex of degree 3 or
+more, is a union of cycles, so the graph is a forest or its components are
+unicyclic.  Otherwise one walk of the chains of degree-2 vertices between
+the hubs gives the kernel of each core component that has a hub (see
+_kernel).  Peeling a leaf keeps its component's cycle rank, so a kernel of
+h hubs and c chains is a component's, of rank c - h + 1 >= 2.  The kernels
+are read in component order: a kernel whose core reads off (below) is the
+verdict, a rank-two kernel that does not is a theta, and only any other
+kernel builds its component, whose size the cap bounds.
 
 The evidence is a checkable embedding.  K4 and the book have cycle rank 3,
 so a qualifying rank-two component holds neither, and its core names the
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import enum
 from functools import cache
-from operator import countOf
 from typing import Mapping, Sequence
 
 from .formula import _Value
@@ -478,10 +475,9 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Classify a graph by the sentences it can support.
 
     Decided from cycle rank and 2-core shape alone, by one leaf peel of g
-    and, when its excess is 2 or 4, one walk of its core's chains, or else
-    per component; when the answer is positive, a concrete pattern
-    embedding is produced as evidence (first qualifying component, patterns
-    in fixed order).
+    and one walk of its core's chains (see _kernel); when the answer is
+    positive, a concrete pattern embedding is produced as evidence (first
+    qualifying component, patterns in fixed order).
 
     The pattern is chosen by structure, not by search.  A qualifying
     component of cycle rank two holds neither K4 nor the book, which have
@@ -493,15 +489,14 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
     A component of rank three whose core is a subdivision of K4 (four hubs
     of degree 3, joined pairwise by six chains) or of the book (two hubs of
     degree 4, joined by four chains) is read off its chains the same way.
-    When such a read-off is the whole graph's, one core beside cycles, and
-    the graph is within the cap, no component is built; otherwise the cap
-    is checked on the read-off's component.  On every other component of
-    rank three or more, one pass over its blocks names the first pattern
-    in PATTERN_ORDER that embeds, K4, the book, the butterfly or else the
-    bowtie (see _rank_three_pattern), and the search runs once, for it.
-    Every skipped search could only have failed, so the embedding is the
-    one the search of every pattern in order finds first.  A qualifying
-    component above the cap raises HostTooLarge before any test runs.
+    A read-off builds no component and is answered at any size.  Every
+    other component of rank three or more is built, one pass over its
+    blocks names the first pattern in PATTERN_ORDER that embeds, K4, the
+    book, the butterfly or else the bowtie (see _rank_three_pattern), and
+    the search runs once, for it.  Every skipped search could only have
+    failed, so the embedding is the one the search of every pattern in
+    order finds first.  The cap guards that search alone: such a component
+    above the cap raises HostTooLarge before any test runs.
 
     The verdict is cached on g per cap, so a later call with the same cap,
     synthesize_witness's included, returns the same Verdict object without
@@ -521,39 +516,78 @@ def decide_support(g: SimpleGraph, cap: int = 64) -> Verdict:
 def _decide(g: SimpleGraph, cap: int) -> Verdict:
     """The verdict of decide_support, computed afresh."""
     degree = g._core_degrees()
-    # the core's degrees, less two per vertex still in it
-    excess = sum(degree.values()) - 2 * (len(degree) - countOf(degree.values(), 0))
-    if not excess:
+    kernels = _kernel(g, degree)
+    if not kernels:
         return Verdict(False, reason=Reason.UNICYCLIC if any(degree.values()) else Reason.FOREST)
-    # an excess of 2 leaves one component of rank 2, and a read-off at 4 one
-    # of rank 3, beside cycles: its read-off is g's (see _core_branch)
-    core = _core_branch(g, degree) if excess <= 4 else None
-    if core is not None and len(g.vertices) <= cap:
-        return Verdict(True, pattern=core[0], embedding=Embedding(core[1], core[2]))
-    if excess == 2 and core is None:
-        return Verdict(False, reason=Reason.THETA_CORE)
-    for comp in connected_components(g):
-        # a component is connected, so its cycle rank is |E| - |V| + 1
-        rank = len(comp.edges) - len(comp.vertices) + 1
-        if rank < 2:
-            continue
-        # core is None here, or g's read-off, which is this component's
-        if core is None:
-            core = _core_branch(comp, degree)
-            if rank == 2 and core is None:
-                continue
-        if len(comp.vertices) > cap:
-            raise HostTooLarge(cap, len(comp.vertices))
+    if len(kernels) > 1:
+        # in connected_components order: each kernel is one component's
+        label = _component_of(g)
+        kernels.sort(key=lambda kernel: label[kernel[0][0]])
+    for hubs, chains in kernels:
+        core = _core_branch(hubs, chains, degree)
         if core is not None:
             pattern, branch, paths = core
             return Verdict(True, pattern=pattern, embedding=Embedding(branch, paths))
+        # a rank-2 kernel with no read-off is a theta
+        if len(chains) == len(hubs) + 1:
+            continue
+        comp = connected_components(g)[_component_of(g)[hubs[0]]]
+        if len(comp.vertices) > cap:
+            raise HostTooLarge(cap, len(comp.vertices))
         pattern = _rank_three_pattern(comp)
         emb = find_topological_minor(comp, pattern, cap=cap)
         if emb is None:
             raise AssertionError(f"{pattern.name} was named but does not embed in {comp!r}")
         return Verdict(True, pattern=pattern, embedding=emb)
-    # the excess is at least 2: some component has cycle rank 2 or more
     return Verdict(False, reason=Reason.THETA_CORE)
+
+
+def _kernel(g: SimpleGraph, degree: dict[int, int]) -> list[tuple[list[int], list[list[int]]]]:
+    """The kernel of each component of g's 2-core that has a hub: its hubs,
+    sorted, and its chains.
+
+    degree holds g's core degrees.  The hubs are the core vertices of
+    degree 3 or more, and a chain is a core path from a hub through
+    vertices of degree 2 to a hub, as a vertex list; a loop starts and ends
+    at its hub.  Cycles with no hub are left out.  One walk from the hubs
+    finds every chain without building the core, each chain walked once,
+    from the hub whose chains the walk takes first, so the chains joining
+    two hubs all run the same way; the hubs it reaches group the chains by
+    component.  The degrees of h hubs joined by c chains sum to 2c, so the
+    kernel's cycle rank is r = c - h + 1, and as each hub has degree 3 or
+    more, h <= 2(r - 1) and c <= 3(r - 1).
+    """
+    nbrs = g._neighbours
+    kernels = []
+    seen: set[int] = set()
+    # the hub and the last step of every chain walked, which start it walked backwards
+    walked: set[tuple[int, int]] = set()
+    for start in [v for v, d in degree.items() if d > 2]:
+        if start in seen:
+            continue
+        seen.add(start)
+        hubs, chains = [start], []
+        # the list grows as the walk reaches new hubs
+        for hub in hubs:
+            for first in nbrs[hub]:
+                if not degree[first] or (hub, first) in walked:
+                    continue
+                prev, v, chain = hub, first, [hub]
+                while degree[v] == 2:
+                    chain.append(v)
+                    for w in nbrs[v]:
+                        if degree[w] and w != prev:
+                            break
+                    prev, v = v, w
+                walked.add((v, prev))
+                chain.append(v)
+                chains.append(chain)
+                if v not in seen:
+                    seen.add(v)
+                    hubs.append(v)
+        hubs.sort()
+        kernels.append((hubs, chains))
+    return kernels
 
 
 # the hub degrees of a 2-core, sorted by hub, that name the pattern its
@@ -567,21 +601,17 @@ _CORE_SHAPES = {
 
 
 def _core_branch(
-    comp: SimpleGraph, degree: dict[int, int]
+    hubs: list[int], chains: list[list[int]], degree: dict[int, int]
 ) -> tuple[Pattern, dict[int, int], dict[Edge, tuple[int, ...]]] | None:
-    """The pattern the 2-core of comp holds and the branch map and paths
-    find_topological_minor(comp, pattern) returns, when the core is a
-    figure-eight, a dumbbell, or a subdivision of K4 or of the book; None
-    for any other core.
+    """The pattern a kernel's core holds and the branch map and paths
+    find_topological_minor(comp, pattern) returns, comp the component whose
+    core it is, when the core is a figure-eight, a dumbbell, or a
+    subdivision of K4 or of the book; None for any other core.
 
-    comp is a connected graph, or a graph whose core is one connected
-    component beside cycles.  degree holds the core degrees of comp, or of
-    a graph of which comp is a union of components.  Its hubs, the core
-    vertices of degree 3 or more, are joined by chains of degree-2 vertices;
-    one walk of the chains from the hubs, each chain walked once from its
-    lesser end, finds them all without building the core.  A core of cycle
-    rank r has excess sum(deg - 2) = 2(r - 1), so the hub degrees tell the
-    shapes apart before any walk:
+    hubs and chains are one kernel from _kernel, and degree the core degrees
+    it was walked with.  A core of cycle rank r has excess sum(deg - 2) =
+    2(r - 1), so the hub degrees tell the shapes apart before any chain is
+    read:
     - Rank 2: one hub of degree 4 closes two loops, a figure-eight (the
       butterfly); two hubs of degree 3 make a theta, with no cut vertex and
       no pattern, unless each closes a loop, a dumbbell (the bowtie).  So
@@ -594,9 +624,7 @@ def _core_branch(
       vertices of degree 3.
     Every other core of rank 3 or more, among them those hub degrees with a
     loop or with two chains joining one pair of hubs, is left to
-    _rank_three_pattern.  So are two rank-2 cores side by side, whose hub
-    degrees sum to the same excess: two figure-eights or two dumbbells
-    close loops, and two thetas join one pair of hubs by three chains.
+    _rank_three_pattern.
 
     The search tries each placed vertex's candidates in ascending order,
     and its forward checks drop only maps that cannot route, so it returns
@@ -637,41 +665,20 @@ def _core_branch(
     core vertices never enters a tree hung on the core, so it is also the
     only one in comp, and _route_paths places it whatever the order.
     """
-    hubs = sorted(v for v in comp.vertices if degree[v] > 2)
     pattern = _CORE_SHAPES.get(tuple(degree[v] for v in hubs))
     if pattern is None:
         return None
-    nbrs = comp._neighbours
-    # each chain from its lesser hub to its other end, and the hub and the
-    # last step of every chain walked, which start it walked backwards
-    chains: list[list[int]] = []
-    walked: set[tuple[int, int]] = set()
-    for hub in hubs:
-        for first in nbrs[hub]:
-            if not degree[first] or (hub, first) in walked:
-                continue
-            prev, v, chain = hub, first, [hub]
-            while degree[v] == 2:
-                chain.append(v)
-                for w in nbrs[v]:
-                    if degree[w] and w != prev:
-                        break
-                prev, v = v, w
-            walked.add((v, prev))
-            chain.append(v)
-            chains.append(chain)
-    # the two least interior vertices of each loop, the lesser hub's first
-    heads = [sorted(chain[1:-1])[:2] for chain in chains if chain[0] == chain[-1]]
-    if pattern is Pattern.BUTTERFLY:
-        # the loop that holds the least non-hub vertex first
-        heads.sort()
-    elif pattern is Pattern.BOWTIE:
-        if not heads:
-            return None
-    elif heads or pattern is Pattern.K4 and len({(c[0], c[-1]) for c in chains}) < len(chains):
+    # the two least interior vertices of each loop, the lesser hub's first,
+    # and at one hub the loop that holds the least non-hub vertex first
+    heads = [head for _, head in sorted((c[0], sorted(c[1:-1])[:2]) for c in chains if c[0] == c[-1])]
+    if pattern is Pattern.BOWTIE and not heads:
         return None
-    elif pattern is Pattern.BOOK:
-        heads = [sorted(min(chain[1:-1]) for chain in chains if len(chain) > 2)[:3]]
+    if pattern is Pattern.K4 or pattern is Pattern.BOOK:
+        # a subdivision closes no loop, and K4's six chains join six pairs of hubs
+        if heads or pattern is Pattern.K4 and len({(c[0], c[-1]) for c in chains}) < 6:
+            return None
+        if pattern is Pattern.BOOK:
+            heads = [sorted(min(chain[1:-1]) for chain in chains if len(chain) > 2)[:3]]
     branch = dict(zip(_plan(pattern)[0], [*hubs, *(v for head in heads for v in head)]))
     # each chain cut at the branch images: one arc per pattern edge
     image = {b: p for p, b in branch.items()}

@@ -671,6 +671,32 @@ def two_core_by_networkx(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(core.nodes, core.edges)
 
 
+def kernel_by_networkx(g: SimpleGraph) -> list[tuple[list[int], list[list[int]]]]:
+    """Reference kernel: for each component of networkx's 2-core that has a
+    hub (core degree 3 or more), its sorted hubs and its chains.
+
+    Every edge between two hubs is a chain.  Every other chain is one
+    component of the core less its hubs, a path, with a hub added at each
+    end: one neighbour of each end vertex is a hub, and both of a lone one.
+    """
+    core = two_core_by_networkx(g)
+    kernels = []
+    for comp in connected_components(core):
+        hubs = sorted(v for v in comp.vertices if comp.degree(v) > 2)
+        if not hubs:
+            continue
+        chains = [list(e) for e in sorted(comp.edges) if e[0] in hubs and e[1] in hubs]
+        inner = SimpleGraph(comp.vertices - set(hubs), [e for e in comp.edges if not set(e) & set(hubs)])
+        for part in connected_components(inner):
+            path = [min(v for v in part.vertices if part.degree(v) < 2)]
+            while len(path) < len(part.vertices):
+                path.append(next(w for w in part.neighbors(path[-1]) if w not in path[-2:]))
+            first, last = ([w for w in comp.neighbors(v) if w in hubs] for v in (path[0], path[-1]))
+            chains.append([first[0], *path, last[-1]])
+        kernels.append((hubs, chains))
+    return kernels
+
+
 def decide_support_by_search(g: SimpleGraph, cap: int = 64) -> Verdict:
     """Reference verdict: search every pattern of rank at most the component's, in order."""
     components = connected_components(g)

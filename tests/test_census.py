@@ -14,6 +14,10 @@ from corpus_util import (
     formula_at_by_polarity,
     frontier_dp_sorted,
     hung,
+    hung_core_graph,
+    ladder,
+    perfbench_analyze_graphs,
+    strip,
     tree_corpus,
     two_core_by_networkx,
 )
@@ -31,7 +35,7 @@ from satminors import (
     supports_unsat_bruteforce,
     synthesize_witness,
 )
-from satminors.census import TooManyEdges, formula_at
+from satminors.census import TooManyEdges, _slot_layout, _small_frontier_order, formula_at
 from satminors.fixtures import CONFIG_CODES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -350,8 +354,37 @@ class TestMinimality:
             is_minimal_unsat_support(fixture_graph("c3"))
 
 
+def walked_width(g: SimpleGraph) -> int:
+    """The census's slot count on g: the lesser of its sorted and its greedy
+    core order's width, 0 for a graph with no core."""
+    core = sorted(two_core_by_networkx(g).edges)
+    return min(_slot_layout(core)[1], _slot_layout(_small_frontier_order(core))[1]) if core else 0
+
+
 class TestJudgeAtScale:
-    """The census judges decide_support on every graph with at most seven vertices."""
+    """The census judges decide_support on every graph with at most seven
+    vertices, and on hosts of up to 64 vertices that a narrow order walks."""
+
+    # the widest walked order judged; the census's states grow as 4 ** width
+    WIDTH = 5
+
+    def test_hosts_at_the_deciders_sizes(self):
+        families = ("random-sparse", "subdivided-k4", "subdivided-book", "figure-eight")
+        graphs = [g for seed in (1, 2, 3) for g in perfbench_analyze_graphs(seed, families)]
+        rng = random.Random(20261116)
+        graphs += [hung_core_graph(rng, core, 64) for core in ("tree", "cycle", "theta", "figure-eight")
+                   for _ in range(10)]
+        graphs += [fixture_graph(f"hills:{k}") for k in range(3, 11)]
+        graphs += [strip(n) for n in range(4, 41)] + [ladder(n) for n in range(3, 11)]
+        # chosen by width alone, before any verdict is read
+        hosts = [g for g in graphs if walked_width(g) <= self.WIDTH]
+        assert len(hosts) > 400 and max(len(g.vertices) for g in hosts) >= 64
+        for g in hosts:
+            verdict = decide_support(g, cap=10**6)
+            assert (census(g, cap=10**6).unsat_count > 0) == verdict.supports_unsat, g
+            if verdict.supports_unsat:
+                w = synthesize_witness(g, cap=10**6)
+                assert not solve(w).satisfiable and support_graph(w) == g, g
 
     def test_atlas(self):
         graphs = atlas_graphs()

@@ -74,7 +74,8 @@ def _dumbbell(a: int, p: int, b: int) -> SimpleGraph:
 
 
 def _structural_verdict(g: SimpleGraph) -> bool:
-    """decide_support's answer with no evidence search: cap 0 refuses every qualifying component."""
+    """decide_support's answer with no evidence search: at cap 0 a read-off
+    is answered, and a component that needs the search, which qualifies, is refused."""
     try:
         return decide_support(g, cap=0).supports_unsat
     except HostTooLarge:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_util import ladder, sparse_graph_stream
+from corpus_util import ladder, random_subdivision, sparse_graph_stream
 from satminors import Cnf2, SimpleGraph, cnf_to_dimacs, decide_support, edgelist_to_text, fixture_graph, parse_dimacs, parse_edgelist, solve
 from satminors import minors
 from satminors.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_UNSAT, EXIT_USAGE, main
@@ -380,6 +381,33 @@ class TestVertexCountLimit:
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "only-satisfiable reason=forest\n", "")
 
 
+class TestReadOffsAboveTheCap:
+    """A figure-eight, K4 or book core is read off its chains at any size:
+    the 64-vertex cap guards only the search, which a read-off never runs."""
+
+    HOSTS = {
+        # two 50000-cycles through vertex 1: the paths 1..50000 and
+        # 50001..99999, closed at 1
+        "figure-eight": lambda: SimpleGraph.of(
+            [(i, i + 1) for i in range(1, 99999) if i != 50000] + [(1, 50000), (1, 50001), (1, 99999)]),
+        "subdivided-k4": lambda: random_subdivision(random.Random(1), sorted(fixture_graph("k4").edges), 100000),
+    }
+
+    @pytest.mark.parametrize("name", HOSTS)
+    @pytest.mark.parametrize("witness", [False, True], ids=["text", "witness-json"])
+    def test_answered_within_a_memory_and_time_budget(self, tmp_path, name, witness):
+        path = write(tmp_path, "host.graph", edgelist_to_text(self.HOSTS[name]()))
+        argv = ["analyze", path] + ["--witness", "-", "--json"] * witness
+        proc = run_limited(argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        pattern = "butterfly" if name == "figure-eight" else "k4"
+        if witness:
+            report = json.loads(proc.stdout.splitlines()[0])
+            assert (report["verdict"], report["pattern"]) == ("supports-unsat", pattern)
+        else:
+            assert proc.stdout.splitlines()[0] == f"supports-unsat pattern={pattern}"
+
+
 class TestMinorCommand:
     def test_found(self, capsys, tmp_path):
         path = write(tmp_path, "h.graph", edgelist_to_text(fixture_graph("hills:3")))
@@ -553,8 +581,8 @@ class TestInternalChecks:
 
         core_branch, search = minors._core_branch, minors.find_topological_minor
 
-        def damaged_read_off(comp, degree):
-            pattern, branch, paths = core_branch(comp, degree)
+        def damaged_read_off(hubs, chains, degree):
+            pattern, branch, paths = core_branch(hubs, chains, degree)
             return pattern, branch, skip_a_vertex(paths)
 
         def damaged_search(host, pattern, cap=64):

@@ -16,6 +16,7 @@ from corpus_util import (
     has_butterfly_by_cycles,
     hung,
     hung_core_graph,
+    kernel_by_networkx,
     ladder,
     perfbench_analyze_graphs,
     random_sparse_graph,
@@ -36,6 +37,7 @@ from satminors import (
     cut_vertices,
     cycle_rank,
     decide_support,
+    edge,
     find_topological_minor,
     fixture_graph,
     pattern_graph,
@@ -46,10 +48,12 @@ from satminors import (
     verify_embedding,
 )
 from satminors import minors
+from satminors.graph import _component_of
 from satminors.minors import (
     PATTERN_ORDER,
     HostTooLarge,
     _core_branch,
+    _kernel,
     _plan,
     _rank_three_pattern,
     _route_paths,
@@ -789,10 +793,18 @@ def rank_two_graph(rng: random.Random, shape: str, n: int, trees: bool = True) -
     return SimpleGraph.of([(labels[u - 1], labels[v - 1]) for u, v in edges])
 
 
+def read_off(g: SimpleGraph):
+    """_core_branch on the one kernel of g, or None when g's core has no hub."""
+    degree = g._core_degrees()
+    kernels = _kernel(g, degree)
+    assert len(kernels) <= 1, g
+    return _core_branch(*kernels[0], degree) if kernels else None
+
+
 def core_pattern(g: SimpleGraph) -> Pattern | None:
-    """The pattern _core_branch names, or None; on a component of rank 3,
-    K4 or the book when its core is a subdivision of it."""
-    found = _core_branch(g, g._core_degrees())
+    """The pattern _core_branch names on the one kernel of g, or None; on a
+    component of rank 3, K4 or the book when its core is a subdivision of it."""
+    found = read_off(g)
     return found and found[0]
 
 
@@ -876,10 +888,11 @@ class TestPeelFirstVerdict:
     against the component-by-component decider it replaced."""
 
     @staticmethod
-    def assert_matches_components(graphs) -> list:
+    def assert_matches_components(graphs, cap: int = 64) -> list:
+        """decide_support at the default cap against the oracle at the given one."""
         # graphs built afresh, so no verdict cached by an earlier test is read
         got = [outcome(decide_support, g) for g in graphs]
-        assert got == [outcome(decide_support_by_components, g) for g in graphs]
+        assert got == [outcome(lambda h: decide_support_by_components(h, cap=cap), g) for g in graphs]
         return got
 
     def test_acceptance_corpus(self):
@@ -890,8 +903,10 @@ class TestPeelFirstVerdict:
         rng = random.Random(20261101 + n)
         graphs = [rank_two_graph(rng, shape, n) for shape in RANK_TWO_SHAPES for _ in range(4)]
         graphs += [rank_two_graph(rng, shape, 40, trees=False) for shape in RANK_TWO_SHAPES]
-        got = self.assert_matches_components(graphs)
-        assert {v.reason for v in got if isinstance(v, Verdict)} >= {Reason.THETA_CORE}
+        # a qualifying rank-2 component reads off, answered at any size, so
+        # the oracle searches with the cap lifted past every graph here
+        got = self.assert_matches_components(graphs, cap=10**4)
+        assert {v.reason for v in got} >= {Reason.THETA_CORE}
 
     @pytest.mark.parametrize("excess", [0, 2, 4, 6])
     def test_component_mixes(self, excess):
@@ -1064,7 +1079,7 @@ class TestRankThreeGate:
         g = SimpleGraph(fixture_graph(name).vertices, fixture_graph(name).edges)
         degree = g._core_degrees()
         assert tuple(sorted(d for d in degree.values() if d > 2)) == hubs
-        assert _core_branch(g, degree) is None
+        assert read_off(g) is None
         named = []
         rank_three_pattern = minors._rank_three_pattern
 
@@ -1102,8 +1117,8 @@ class TestRankThreeGate:
 
 def assert_paths_as_routed(graphs) -> int:
     """Every read-off's paths against _route_paths on its branch map, the
-    search's last level, by value.  A read-off of a whole graph is its one
-    qualifying component's.
+    search's last level, by value.  The read-offs of a whole graph's
+    kernels are its components' read-offs, in component order.
 
     Returns the number of components compared.
     """
@@ -1111,16 +1126,17 @@ def assert_paths_as_routed(graphs) -> int:
     for g in graphs:
         found = []
         for comp in connected_components(g):
-            core = _core_branch(comp, comp._core_degrees())
+            core = read_off(comp)
             if core is None:
                 continue
             pattern, branch, paths = core
             routed = _route_paths(comp, _plan(pattern)[2][-1], branch)
             assert paths == routed, comp
             found.append(core)
-        whole = _core_branch(g, g._core_degrees())
-        if whole is not None:
-            assert found == [whole], g
+        degree, label = g._core_degrees(), _component_of(g)
+        kernels = sorted(_kernel(g, degree), key=lambda kernel: label[kernel[0][0]])
+        whole = [_core_branch(hubs, chains, degree) for hubs, chains in kernels]
+        assert found == [core for core in whole if core is not None], g
         compared += len(found)
     return compared
 
@@ -1134,6 +1150,62 @@ def beside(g: SimpleGraph, edges) -> SimpleGraph:
 def path_edges(n: int) -> list[tuple[int, int]]:
     """The edges of the path 1..n."""
     return [(i, i + 1) for i in range(1, n)]
+
+
+def canonical_kernels(kernels) -> list:
+    """Kernels sorted, each chain taken in the lesser of its two directions
+    and the chains sorted: a multiset in either direction."""
+    return sorted((hubs, sorted(min(chain, chain[::-1]) for chain in chains)) for hubs, chains in kernels)
+
+
+class TestKernel:
+    """_kernel against kernel_by_networkx, which shares no code with it: per
+    component, the hubs and the chains in either direction.  The chains
+    partition the edges of the core components with a hub, and a kernel's
+    cycle rank is its component's."""
+
+    @staticmethod
+    def assert_matches_oracle(graphs) -> int:
+        """Returns the number of kernels compared."""
+        compared = 0
+        for g in graphs:
+            kernels = _kernel(g, g._core_degrees())
+            assert canonical_kernels(kernels) == canonical_kernels(kernel_by_networkx(g)), g
+            label = _component_of(g)
+            hubbed = {label[hubs[0]] for hubs, _ in kernels}
+            steps = [edge(a, b) for _, chains in kernels for chain in chains for a, b in zip(chain, chain[1:])]
+            core = two_core_by_networkx(g)
+            assert sorted(steps) == sorted(e for e in core.edges if label[e[0]] in hubbed), g
+            components = connected_components(g)
+            for hubs, chains in kernels:
+                comp = components[label[hubs[0]]]
+                rank = len(comp.edges) - len(comp.vertices) + 1
+                assert len(chains) - len(hubs) + 1 == rank >= 2, comp
+                assert len(hubs) <= 2 * (rank - 1) and len(chains) <= 3 * (rank - 1), comp
+            compared += len(kernels)
+        return compared
+
+    def test_atlas_and_acceptance_corpus(self):
+        assert self.assert_matches_oracle(atlas_graphs() + acceptance_corpus()) > 1000
+
+    def test_random_subdivisions(self):
+        rng = random.Random(20261113)
+        graphs = [random_subdivision(rng, sorted(pattern_graph(p).edges), rng.randint(6, 60))
+                  for p in PATTERN_ORDER for _ in range(30)]
+        assert self.assert_matches_oracle(graphs) == len(graphs)
+
+    def test_hung_cores(self):
+        rng = random.Random(20261114)
+        graphs = [hung_core_graph(rng, core, n) for core in ("tree", "cycle", "theta", "figure-eight")
+                  for n in (16, 64, 300) for _ in range(5)]
+        graphs += [hung_subdivision(rng, p, 64) for p in PATTERN_ORDER for _ in range(5)]
+        assert self.assert_matches_oracle(graphs) == 2 * 15 + 20
+
+    def test_component_mixes(self):
+        # trees, unicyclic components and isolated vertices beside the kernels
+        rng = random.Random(20261115)
+        graphs = [component_mix(rng, excess) for excess in (0, 2, 4, 6, 8) for _ in range(30)]
+        assert self.assert_matches_oracle(graphs) > 150
 
 
 class TestReadOffPaths:
@@ -1172,11 +1244,19 @@ class TestReadOffPaths:
             assert verify_embedding(g, verdict.pattern, verdict.embedding)
             assert synthesize_witness(g) is not None
             assert "adjacency" not in g.__dict__ and "_component_of" not in g.__dict__, g
+        # above the cap: a theta, whose one kernel reads off nothing, and
+        # read-offs, answered at any size; none of them labels components
+        big = [hung_core_graph(rng, "theta", 1500), hung_core_graph(rng, "figure-eight", 200),
+               hung_subdivision(rng, Pattern.K4, 200)]
+        verdicts = [decide_support(g) for g in big]
+        assert not any("adjacency" in g.__dict__ or "_component_of" in g.__dict__ for g in big)
+        assert [v.reason or v.pattern for v in verdicts] == [Reason.THETA_CORE, Pattern.BUTTERFLY, Pattern.K4]
 
 
 class TestCapBesideTheReadOff:
-    """A read-off graph above the cap takes the component loop, which checks
-    the cap on the qualifying component alone."""
+    """The cap guards the search alone: a read-off is answered at any size,
+    and the cap is checked on a component that takes the block pass, not
+    on the whole graph."""
 
     def test_k4_beside_a_long_path(self):
         rng = random.Random(20261111)
@@ -1186,15 +1266,24 @@ class TestCapBesideTheReadOff:
         assert verdict == decide_support_by_components(SimpleGraph.of(sorted(g.edges)), cap=64)
         assert verdict.pattern is Pattern.K4
 
-    def test_components_above_the_cap_refused(self):
+    def test_read_offs_above_the_cap_answered(self):
         rng = random.Random(20261112)
         eight = rank_two_graph(rng, "figure-eight", 100)
         k4 = hung_subdivision(rng, Pattern.K4, 100)
         for g in (eight, k4, beside(eight, path_edges(30)), beside(k4, path_edges(30))):
             assert core_pattern(g) is not None
+            verdict = decide_support(SimpleGraph.of(sorted(g.edges)))
+            assert verdict == decide_support_by_components(SimpleGraph.of(sorted(g.edges)), cap=1000)
+            assert verify_embedding(g, verdict.pattern, verdict.embedding)
+        # hills:32, 65 vertices of rank 32, takes the block pass: refused,
+        # first or after a read-off on lesser ids, which is answered
+        hills = sorted(fixture_graph("hills:32").edges)
+        for g in (SimpleGraph.of(hills), beside(SimpleGraph.of(hills), eight.edges)):
             for decide in (decide_support, decide_support_by_components):
-                with pytest.raises(HostTooLarge, match="host has 100 vertices, search cap is 64"):
+                with pytest.raises(HostTooLarge, match="host has 65 vertices, search cap is 64"):
                     decide(SimpleGraph.of(sorted(g.edges)))
+        verdict = decide_support(beside(eight, hills))
+        assert verdict.pattern is Pattern.BUTTERFLY and verdict.embedding == decide_support(eight).embedding
 
 
 def damaged_embeddings(rng: random.Random, host: SimpleGraph, emb: Embedding):
